@@ -26,13 +26,14 @@ from .linalg import (
     Subspace,
     add_vectors,
     column_space,
+    identity_matrix,
     induced_map_on_quotient,
     kernel,
     mat_vec,
     quotient_representatives,
     rref_rows,
     scale_vector,
-    solve_in_rows,
+    solve_many_in_rows,
     transpose,
     zero_vector,
 )
@@ -242,12 +243,9 @@ def _restricted_del_bar(algebra, acs):
                     pvec[index[tgt]] = c
             cols.append(tuple(pvec))
         if cod is not None:
-            mat_cols = []
-            for col in cols:
-                coeffs = solve_in_rows(cod.basis, col)
-                if coeffs is None:
-                    raise TheoremViolationError("restricted del_bar image escaped the module")
-                mat_cols.append(coeffs)
+            mat_cols = solve_many_in_rows(cod.basis, cols)
+            if any(coeffs is None for coeffs in mat_cols):
+                raise TheoremViolationError("restricted del_bar image escaped the module")
             mat = transpose(mat_cols) if mat_cols else tuple(() for _ in cod.basis)
         else:
             mat = ()
@@ -368,20 +366,13 @@ def _cw_pipeline(algebra, acs):
                 incoming.append(tuple(mat[i][j] for i in range(len(mat))))
         # cohomology inside the rep-coordinate space of H_mu_bar
         dim, reps_coords = _two_term_cohomology(
-            incoming, outgoing, h, tuple(tuple(r) for r in _identity_rows(h))
+            incoming, outgoing, h, identity_matrix(h)
         )
         ambient_reps = tuple(
             _combine(dom.reps, coords, frame.dim(p, q)) for coords in reps_coords
         )
         dol[(p, q)] = (dim, reps_coords, ambient_reps)
     return pres, tilde, dol
-
-
-def _identity_rows(n):
-    rows = []
-    for i in range(n):
-        rows.append(tuple(ONE if j == i else ZERO for j in range(n)))
-    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -435,17 +426,23 @@ def comparison_map_rank(algebra, acs, p, q):
             incoming.append(tuple(mat[i][j] for i in range(len(mat))))
     h = mu_pres.dim
     im_sub = Subspace.from_rows(h, incoming) if h else Subspace.zero(0)
+    # both presentations are factored once; the checks below run per class, in order
+    classes = [
+        None if coeffs is None else tuple(coeffs[: len(mu_pres.reps)])
+        for coeffs in solve_many_in_rows(mu_pres.reps + mu_pres.quot_by.basis, treps)
+    ]
+    all_coords = iter(
+        solve_many_in_rows(dol_reps_coords + im_sub.basis, [c for c in classes if c is not None])
+    )
     cols = []
-    for v in treps:
+    for v, cls in zip(treps, classes):
         if not mu_pres.sub.contains(v):
             raise TheoremViolationError("a transverse form escaped Ker mu_bar")
-        coeffs = solve_in_rows(mu_pres.reps + mu_pres.quot_by.basis, v)
-        if coeffs is None:
+        if cls is None:
             raise TheoremViolationError("transverse class has no mu_bar-class expression")
-        cls = tuple(coeffs[: len(mu_pres.reps)])
         if any(mat_vec(tilde[(p, q)].matrix, cls)):
             raise TheoremViolationError("image of a del_bar-closed transverse form is not closed")
-        coords = solve_in_rows(dol_reps_coords + im_sub.basis, cls)
+        coords = next(all_coords)
         if coords is None:
             raise TheoremViolationError("mu_bar class not expressible in H_Dol presentation")
         cols.append(tuple(coords[: dol_dim]))

@@ -467,40 +467,40 @@ class D2Report:
 
 
 def verify_d2_relations(algebra, acs):
-    """Check the seven component identities equivalent to d∘d = 0, block by block."""
+    """Check the seven component identities equivalent to d∘d = 0, block by block.
+
+    Each composite block is summed over the nonzero entries of its two
+    factors only.
+    """
     ops = component_operators(algebra, acs)
     frame = bigraded_frame(algebra, acs)
+    sparse = {}
+
+    def nonzeros(name, p, q):
+        """Rows of the block as [(column, value)] lists; None when out of range."""
+        key = (name, p, q)
+        if key not in sparse:
+            block = ops[name].block(p, q)
+            sparse[key] = None if block is None else [
+                [(j, x) for j, x in enumerate(row) if x] for row in block
+            ]
+        return sparse[key]
+
     failures = []
     for name, terms in _D2_RELATIONS:
-        outer0, inner0 = terms[0]
-        total = (
-            SHIFTS[outer0][0] + SHIFTS[inner0][0],
-            SHIFTS[outer0][1] + SHIFTS[inner0][1],
-        )
         for p, q in frame.bidegrees():
-            sdim = frame.dim(p, q)
-            tp, tq = p + total[0], q + total[1]
-            tdim = frame.dim(tp, tq)
-            if sdim == 0 or tdim == 0:
-                continue
-            acc = [[ZERO] * sdim for _ in range(tdim)]
+            acc = {}
             for outer, inner in terms:
-                bi = ops[inner].block(p, q)
-                ip, iq = p + SHIFTS[inner][0], q + SHIFTS[inner][1]
-                bo = ops[outer].block(ip, iq)
-                if bi is None or bo is None or not bi or not bo:
+                bi = nonzeros(inner, p, q)
+                bo = nonzeros(outer, p + SHIFTS[inner][0], q + SHIFTS[inner][1])
+                if not bi or not bo:
                     continue
-                for r in range(tdim):
-                    row = bo[r]
-                    arow = acc[r]
-                    for j in range(sdim):
-                        val = ZERO
-                        for k in range(len(bi)):
-                            if row[k] and bi[k][j]:
-                                val = val + row[k] * bi[k][j]
-                        if val:
-                            arow[j] = arow[j] + val
-            if any(any(row) for row in acc):
+                for r, orow in enumerate(bo):
+                    for k, a in orow:
+                        for j, b in bi[k]:
+                            key = (r, j)
+                            acc[key] = acc[key] + a * b if key in acc else a * b
+            if any(acc.values()):
                 failures.append((name, (p, q)))
     return D2Report(tuple(failures))
 

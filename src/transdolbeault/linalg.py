@@ -40,6 +40,7 @@ __all__ = [
     "subspace_contains",
     "subspace_intersection",
     "solve_in_rows",
+    "solve_many_in_rows",
     "quotient_representatives",
     "induced_map_on_quotient",
 ]
@@ -144,34 +145,53 @@ def mat_inverse(m):
 # -- reduced row-echelon form --------------------------------------------------
 
 def _rref_inplace(mat):
-    """RREF a list of row lists in place; returns (nonzero rows, pivot columns)."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+    """Canonical RREF of a list of dense rows: (nonzero echelon rows, pivot columns).
+
+    This is the one elimination routine. Each row becomes a sparse
+    {column: value} map once and only stored nonzeros are touched; for each
+    pivot column the candidate row with the fewest nonzeros is taken. The
+    reduced echelon form of a matrix is unique, so the rows returned do not
+    depend on that choice. ``mat`` is consumed.
+    """
+    ncols = len(mat[0]) if mat else 0
+    active = [r for r in ({j: x for j, x in enumerate(row) if x} for row in mat) if r]
+    done = []  # reduced pivot rows, in pivot order
     pivots = []
-    prow = 0
     for col in range(ncols):
-        sel = None
-        for i in range(prow, nrows):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
+        if not active:
+            break
+        hits = [r for r in active if col in r]
+        if not hits:
             continue
-        mat[prow], mat[sel] = mat[sel], mat[prow]
-        pv = mat[prow][col]
+        chosen = min(hits, key=len)
+        prow = chosen
+        pv = prow[col]
         if pv != ONE:
             inv = ONE / pv
-            mat[prow] = [inv * x if x else x for x in mat[prow]]
-        prow_vals = mat[prow]
-        for i in range(nrows):
-            if i != prow and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], prow_vals)]
+            prow = {j: inv * x for j, x in prow.items()}
+        rest = [(j, x) for j, x in prow.items() if j != col]
+        for r in [r for r in hits if r is not chosen] + [r for r in done if col in r]:
+            f = -r.pop(col)
+            for j, x in rest:
+                old = r.get(j)
+                if old is None:
+                    r[j] = f * x
+                else:
+                    new = old + f * x
+                    if new:
+                        r[j] = new
+                    else:
+                        del r[j]
+        active = [r for r in active if r and r is not chosen]
+        done.append(prow)
         pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
-    return mat[:prow], pivots
+    rows = []
+    for prow in done:
+        row = [ZERO] * ncols
+        for j, x in prow.items():
+            row[j] = x
+        rows.append(row)
+    return rows, pivots
 
 
 def rref_rows(rows):
@@ -318,20 +338,58 @@ def solve_in_rows(rows, v):
 
     Free coefficients (dependent rows) are set to zero.
     """
+    return solve_many_in_rows(rows, [v])[0]
+
+
+def solve_many_in_rows(rows, targets):
+    """solve_in_rows for every target, from one elimination of [rowsᵀ | targets].
+
+    Deleting columns of a reduced echelon matrix leaves one, so the
+    coefficient columns of a target in the span equal those of its own
+    solve. A row whose pivot lies among the targets reads 0 = (its entry)
+    for every target, so each target with a nonzero entry there is outside
+    the span, whether or not that target's column holds a pivot.
+    """
     rows = as_matrix(rows)
-    if not rows:
-        return () if not any(v) else None
+    if not rows or not targets:
+        return [() if not any(v) else None for v in targets]
     n = len(rows[0])
-    _check_len(v, n, "target vector")
-    aug = [list(col) + [GaussianRational.of(v[i])] for i, col in enumerate(transpose(rows))]
+    for v in targets:
+        _check_len(v, n, "target vector")
+    targets = [as_vector(v) for v in targets]
+    k = len(rows)
+    aug = [list(col) + [v[i] for v in targets] for i, col in enumerate(transpose(rows))]
     ech, pivots = _rref_inplace(aug)
-    ncols = len(rows)
-    coeffs = [ZERO] * ncols
+    solvable = [True] * len(targets)
     for row, p in zip(ech, pivots):
-        if p == ncols:  # pivot in the augmented column: inconsistent
-            return None
-        coeffs[p] = row[ncols]
-    return tuple(coeffs)
+        if p >= k:
+            for t, x in enumerate(row[k:]):
+                if x:
+                    solvable[t] = False
+    out = []
+    for t, ok in enumerate(solvable):
+        coeffs = None
+        if ok:
+            coeffs = [ZERO] * k
+            for row, p in zip(ech, pivots):
+                if p < k:
+                    coeffs[p] = row[k + t]
+            coeffs = tuple(coeffs)
+        out.append(coeffs)
+    return out
+
+
+def _quotient_rep_indices(sub, quot_by):
+    """Indices into sub.basis of the rows that extend quot_by to a basis of sub.
+
+    They are the pivot columns of one RREF of the columns [quot_by | sub]:
+    exactly the first echelon rows of sub that grow the span.
+    """
+    if not sub.basis:
+        return ()
+    k = quot_by.rank
+    _, pivots = _rref_inplace([list(col) for col in transpose(quot_by.basis + sub.basis)])
+    return tuple(p - k for p in pivots if p >= k)
 
 
 def quotient_representatives(sub, quot_by):
@@ -340,40 +398,22 @@ def quotient_representatives(sub, quot_by):
     The choice is deterministic (first echelon rows that grow the span), so
     quotient presentations are reproducible.
     """
-    acc = _Echelon(sub.ambient_dim)
-    for row in quot_by.basis:
-        acc.add(row)
-    reps = []
-    for row in sub.basis:
-        if acc.add(row):
-            reps.append(row)
-    return tuple(reps)
+    return tuple(sub.basis[i] for i in _quotient_rep_indices(sub, quot_by))
 
 
-class _Echelon:
-    """Incremental (non-reduced) echelon accumulator for rank bookkeeping."""
-
-    def __init__(self, ambient_dim):
-        self.ambient_dim = ambient_dim
-        self.rows = {}  # pivot column -> row
-
-    def add(self, v):
-        """Insert v; True iff it enlarged the span."""
-        v = tuple(v)
-        for p in sorted(self.rows):
-            if v[p]:
-                c = v[p]
-                v = tuple(a - c * b for a, b in zip(v, self.rows[p]))
-        for j, x in enumerate(v):
-            if x:
-                inv = ONE / x
-                self.rows[j] = tuple(inv * a for a in v)
-                return True
-        return False
-
-    @property
-    def rank(self):
-        return len(self.rows)
+def _apply_sparse(srows, ncols, v):
+    """mat_vec on a matrix given by its [(column, value)] nonzero rows and column count."""
+    if srows and ncols != len(v):
+        raise ShapeError(f"matrix has {ncols} columns, vector has length {len(v)}")
+    out = []
+    for row in srows:
+        acc = ZERO
+        for j, a in row:
+            b = v[j]
+            if b:
+                acc = acc + a * b
+        out.append(acc)
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -395,23 +435,23 @@ def induced_map_on_quotient(f, dom_sub, dom_quot_by, cod_sub, cod_quot_by):
         raise WellDefinednessError("dom_quot_by is not contained in dom_sub")
     if not cod_sub.contains_subspace(cod_quot_by):
         raise WellDefinednessError("cod_quot_by is not contained in cod_sub")
-    for row in dom_sub.basis:
-        if not cod_sub.contains(mat_vec(f, row)):
+    fs = [[(j, x) for j, x in enumerate(row) if x] for row in f]  # f is scanned once
+    fcols = len(f[0]) if f else 0
+    images = [_apply_sparse(fs, fcols, row) for row in dom_sub.basis]
+    for y in images:
+        if not cod_sub.contains(y):
             raise WellDefinednessError("f(dom_sub) is not contained in cod_sub")
     for row in dom_quot_by.basis:
-        if not cod_quot_by.contains(mat_vec(f, row)):
+        if not cod_quot_by.contains(_apply_sparse(fs, fcols, row)):
             raise WellDefinednessError("f(dom_quot_by) is not contained in cod_quot_by")
 
-    dom_reps = quotient_representatives(dom_sub, dom_quot_by)
+    dom_idx = _quotient_rep_indices(dom_sub, dom_quot_by)
+    dom_reps = tuple(dom_sub.basis[i] for i in dom_idx)
     cod_reps = quotient_representatives(cod_sub, cod_quot_by)
-    cols = []
-    solve_rows = cod_reps + cod_quot_by.basis
-    for r in dom_reps:
-        y = mat_vec(f, r)
-        coeffs = solve_in_rows(solve_rows, y)
-        if coeffs is None:  # unreachable given the checks above
-            raise WellDefinednessError("image escaped cod_sub despite containment checks")
-        cols.append(coeffs[: len(cod_reps)])
+    solutions = solve_many_in_rows(cod_reps + cod_quot_by.basis, [images[i] for i in dom_idx])
+    if any(coeffs is None for coeffs in solutions):  # unreachable given the checks above
+        raise WellDefinednessError("image escaped cod_sub despite containment checks")
+    cols = [coeffs[: len(cod_reps)] for coeffs in solutions]
     matrix = transpose(cols) if cols else tuple(() for _ in cod_reps)
     if not cod_reps:
         matrix = ()

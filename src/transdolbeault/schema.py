@@ -105,6 +105,8 @@ def parse_entry(doc, validate=True):
     flat = doc.get("J")
     if flat is None:
         raise SchemaError("missing 'J' (row-major list of rational strings)")
+    if not isinstance(flat, (list, tuple)):
+        raise SchemaError(f"'J' must be a list of {n * n} rational strings, got {flat!r}")
     if len(flat) != n * n:
         raise SchemaError(f"'J' must have {n * n} entries, got {len(flat)}")
     vals = [_real_from_str(s) for s in flat]
@@ -115,7 +117,7 @@ def parse_entry(doc, validate=True):
         rows = doc["h"]
         try:
             h = Subspace.from_rows(n, as_matrix([[_real_from_str(s) for s in row] for row in rows]))
-        except ShapeError as exc:
+        except (ShapeError, TypeError) as exc:  # TypeError: h or a row is not a list
             raise SchemaError(f"bad 'h' rows: {exc}") from exc
 
     acs = None

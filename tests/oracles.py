@@ -3,17 +3,32 @@
 Everything here deliberately avoids the production code paths it checks:
 forms are evaluated as alternating multilinear maps on explicit vector
 tuples, the differential comes from the r<s double-sum formula, and ranks
-are computed by a local elimination routine.
+are computed by local elimination routines. The elimination oracles
+(oracle_rank, oracle_rref, oracle_solve, oracle_quotient_representatives)
+use nothing from transdolbeault.linalg.
 """
 
 from itertools import combinations, permutations
 
 from transdolbeault.lie import bracket
-from transdolbeault.linalg import basis_vector, mat_vec
 from transdolbeault.scalars import GaussianRational, I, ZERO
 
 ONE = GaussianRational.of(1)
 HALF = ONE / 2
+
+
+def basis_vector(n, i):
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def mat_vec(m, v):
+    out = []
+    for row in m:
+        acc = ZERO
+        for a, b in zip(row, v):
+            acc = acc + a * b
+        out.append(acc)
+    return tuple(out)
 
 
 def oracle_rank(rows):
@@ -40,6 +55,68 @@ def oracle_rank(rows):
         rank += 1
         col += 1
     return rank
+
+
+def oracle_rref(rows):
+    """Canonical RREF by dense Gauss-Jordan: (tuple of nonzero rows, tuple of pivots).
+
+    First nonzero entry at or below the current row is the pivot; every
+    entry of every row is visited for every pivot.
+    """
+    mat = [[GaussianRational.of(x) for x in r] for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(prow, nrows):
+            if mat[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        mat[prow], mat[sel] = mat[sel], mat[prow]
+        pv = mat[prow][col]
+        if pv != ONE:
+            inv = ONE / pv
+            mat[prow] = [inv * x if x else x for x in mat[prow]]
+        prow_vals = mat[prow]
+        for i in range(nrows):
+            if i != prow and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], prow_vals)]
+        pivots.append(col)
+        prow += 1
+        if prow == nrows:
+            break
+    return tuple(tuple(r) for r in mat[:prow]), tuple(pivots)
+
+
+def oracle_solve(rows, v):
+    """Coefficients x with sum(x_i * rows[i]) == v (free ones zero), or None."""
+    if not rows:
+        return () if not any(v) else None
+    k = len(rows)
+    aug = [[rows[r][i] for r in range(k)] + [v[i]] for i in range(len(v))]
+    ech, pivots = oracle_rref(aug)
+    coeffs = [ZERO] * k
+    for row, p in zip(ech, pivots):
+        if p == k:
+            return None
+        coeffs[p] = row[k]
+    return tuple(coeffs)
+
+
+def oracle_quotient_representatives(sub_basis, quot_basis):
+    """Greedy: the rows of sub_basis, in order, that raise the rank of what came before."""
+    acc = list(quot_basis)
+    reps = []
+    for row in sub_basis:
+        if oracle_rank(acc + [row]) > oracle_rank(acc):
+            acc.append(row)
+            reps.append(row)
+    return tuple(reps)
 
 
 def eval_real_form(real_form, vectors):

@@ -143,6 +143,13 @@ def test_schema_errors(tmp_path):
         parse_entry({"dim": 2, "brackets": [], "J": ["1"]})
     with pytest.raises(SchemaError):
         parse_entry([1, 2, 3])
+    j_std = ["0", "-1", "1", "0"]
+    for i, doc in enumerate(({"dim": 2, "J": 5}, {"dim": 2, "J": j_std, "h": 3})):
+        with pytest.raises(SchemaError):
+            parse_entry(doc)
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(path)]) == 3
 
 
 def test_form_serialization_roundtrip(kt):

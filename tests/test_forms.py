@@ -180,6 +180,37 @@ def test_d2_relations_catalog(strict_entries):
 
 # -- contraction and Lie derivative --------------------------------------------------
 
+def test_d2_relations_report_a_corrupted_block(kt, monkeypatch):
+    """One wrong entry of del_bar on 0-forms, at the (0,1) generator i, adds
+    column i of c's (0,1) block to the one relation with a term (c, del_bar);
+    no other relation or bidegree sees the corrupted block."""
+    import transdolbeault.forms as forms_mod
+    from transdolbeault.forms import _D2_RELATIONS, BigradedOperator
+
+    ops = component_operators(kt.algebra, kt.acs)
+    frame = bigraded_frame(kt.algebra, kt.acs)
+
+    def column_nonzero(name, j):
+        return any(row[j] for row in ops[name].block(0, 1))
+
+    i = next(j for j in range(frame.dim(0, 1)) if any(column_nonzero(c, j) for c in SHIFTS))
+    del_bar = ops["del_bar"]
+    bad = [list(row) for row in del_bar.block(0, 0)]
+    bad[i][0] = bad[i][0] + ONE
+    blocks = tuple(
+        (bid, tuple(map(tuple, bad)) if bid == (0, 0) else mat) for bid, mat in del_bar.blocks
+    )
+    corrupted = dict(ops, del_bar=BigradedOperator(frame, del_bar.shift, blocks))
+    monkeypatch.setattr(forms_mod, "component_operators", lambda algebra, acs: corrupted)
+    expected = tuple(
+        (name, (0, 0))
+        for name, terms in _D2_RELATIONS
+        if any(inner == "del_bar" and column_nonzero(outer, i) for outer, inner in terms)
+    )
+    assert expected
+    assert verify_d2_relations(kt.algebra, kt.acs).failures == expected
+
+
 def test_contract_examples(kt):
     L, acs = kt.algebra, kt.acs
     w = bigrade(L, acs, {(0, 1): 1})  # e^1 ∧ e^2

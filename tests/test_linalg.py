@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import oracle_quotient_representatives, oracle_rref, oracle_solve
 from transdolbeault.errors import ShapeError, WellDefinednessError
 from transdolbeault.linalg import (
     Subspace,
@@ -14,7 +16,9 @@ from transdolbeault.linalg import (
     mat_vec,
     quotient_representatives,
     rref,
+    rref_rows,
     solve_in_rows,
+    solve_many_in_rows,
     subspace_contains,
     subspace_intersection,
     subspace_sum,
@@ -208,3 +212,78 @@ def test_quotient_representatives_deterministic():
     reps = quotient_representatives(sub, quot)
     assert reps == quotient_representatives(sub, quot)
     assert len(reps) == 2
+
+
+# -- the sparse elimination kernel against the dense oracle -----------------------
+
+_parts = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_entries = st.builds(GaussianRational, _parts, st.one_of(st.just(0), _parts))
+_SHAPES = ((0, 6), (1, 8), (8, 8), (3, 9), (12, 3))  # max rows, max cols: square, wide, tall
+
+
+@st.composite
+def qi_matrices(draw, ncols=None):
+    """Q(i) matrices from all-zero to dense, with zero rows and dependent rows."""
+    max_rows, max_cols = draw(st.sampled_from(_SHAPES))
+    nrows = draw(st.integers(0, max_rows))
+    if ncols is None:
+        ncols = draw(st.integers(1, max_cols))
+    zero_pct = draw(st.sampled_from((0, 50, 85, 100)))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            rows.append((ZERO,) * ncols)
+        elif kind == 1 and rows:
+            a, b = draw(_entries), draw(_entries)
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(tuple(a * x + b * y for x, y in zip(u, v)))
+        else:
+            rows.append(tuple(
+                ZERO if draw(st.integers(0, 99)) < zero_pct else draw(_entries)
+                for _ in range(ncols)
+            ))
+    return ncols, tuple(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(qi_matrices())
+def test_rref_rows_matches_dense_oracle(shaped):
+    _, rows = shaped
+    got = rref_rows(rows)
+    want = oracle_rref(rows)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solve_many_matches_one_at_a_time_oracle(data):
+    n, rows = data.draw(qi_matrices())
+    combos = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        v = (ZERO,) * n
+        for row in rows:
+            c = data.draw(_entries)
+            v = tuple(a + c * b for a, b in zip(v, row))
+        combos.append(v)
+    _, free = data.draw(qi_matrices(ncols=n))  # mostly outside the span
+    targets = data.draw(st.permutations(combos + list(free) + [(ZERO,) * n]))
+    got = solve_many_in_rows(rows, targets)
+    assert got == [oracle_solve(rows, v) for v in targets]
+    assert [solve_in_rows(rows, v) for v in targets] == got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_quotient_representatives_match_greedy_oracle(data):
+    n, rows = data.draw(qi_matrices())
+    _, extra = data.draw(qi_matrices(ncols=n))
+    sub = Subspace.from_rows(n, rows + extra)
+    quot_rows = [r for r in rows if data.draw(st.booleans())]
+    if data.draw(st.booleans()):
+        quot_rows += list(extra[:1])  # may leave sub: the greedy rule still applies
+    quot = Subspace.from_rows(n, quot_rows)
+    assert quotient_representatives(sub, quot) == oracle_quotient_representatives(
+        sub.basis, quot.basis
+    )
