@@ -24,18 +24,16 @@ from .forms import bigraded_frame, component_operators
 from .lie import bracket
 from .linalg import (
     Subspace,
-    add_vectors,
+    _apply_sparse,
     column_space,
-    identity_matrix,
+    combine_rows,
     induced_map_on_quotient,
     kernel,
-    mat_vec,
     quotient_representatives,
     rref_rows,
-    scale_vector,
     solve_many_in_rows,
+    sparse_rows,
     transpose,
-    zero_vector,
 )
 from .scalars import ONE, ZERO
 
@@ -186,14 +184,6 @@ def transverse_module(algebra, acs, dist):
     return TransverseModule(dist, tuple(spaces))
 
 
-def _combine(rows, coeffs, ambient):
-    out = zero_vector(ambient)
-    for c, row in zip(coeffs, rows):
-        if c:
-            out = add_vectors(out, scale_vector(c, row))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _restricted_del_bar(algebra, acs):
     """Matrices of del_bar between transverse-module bases, with closure checks."""
@@ -253,17 +243,18 @@ def _restricted_del_bar(algebra, acs):
     return module, restricted
 
 
-def _two_term_cohomology(incoming_cols, outgoing, ambient, rows_basis):
-    """ker(outgoing)/im(incoming) inside span(rows_basis) of Q(i)^ambient.
+def _two_term_cohomology(incoming_cols, outgoing, space):
+    """ker(outgoing)/im(incoming) inside the Subspace space.
 
-    outgoing: matrix in the rows_basis coordinates; incoming_cols: ambient
-    image vectors. Returns (dim, reps in ambient coordinates).
+    outgoing: matrix in the coordinates of space.basis; incoming_cols:
+    ambient image vectors. Returns (dim, reps in ambient coordinates).
     """
-    if not rows_basis:
+    if space.is_zero():
         return 0, ()
-    ker_coeffs = kernel(outgoing, ncols=len(rows_basis))
+    ambient = space.ambient_dim
+    ker_coeffs = kernel(outgoing, ncols=space.rank)
     ker_vectors = [
-        _combine(rows_basis, coeffs, ambient) for coeffs in ker_coeffs.basis
+        combine_rows(coeffs, space.sparse_basis, ambient) for coeffs in ker_coeffs.basis
     ]
     ker_sub = Subspace.from_rows(ambient, ker_vectors)
     im_sub = Subspace.from_rows(ambient, incoming_cols)
@@ -289,10 +280,8 @@ def transverse_dolbeault(algebra, acs):
             mat = restricted[(p, q - 1)]
             for j in range(len(prev.basis)):
                 col = tuple(mat[i][j] for i in range(len(mat)))
-                incoming.append(_combine(space.basis, col, ambient))
-        dim, reps = _two_term_cohomology(
-            incoming, restricted[(p, q)], ambient, space.basis
-        )
+                incoming.append(combine_rows(col, space.sparse_basis, ambient))
+        dim, reps = _two_term_cohomology(incoming, restricted[(p, q)], space)
         dims.append(((p, q), dim))
         reps_all.append(((p, q), reps))
     return CohomologyTable("trans", tuple(dims), tuple(reps_all))
@@ -329,6 +318,11 @@ def mu_bar_cohomology(algebra, acs):
     return CohomologyTable("mu_bar", dims, reps)
 
 
+def _nonzero_rows(matrix):
+    """The nonzero rows of an induced matrix as sparse rows, for _apply_sparse."""
+    return [row for row in sparse_rows(matrix) if row]
+
+
 @lru_cache(maxsize=None)
 def _cw_pipeline(algebra, acs):
     """Induced del_bar on mu_bar-cohomology and its two-term cohomology data."""
@@ -351,8 +345,12 @@ def _cw_pipeline(algebra, acs):
         if q + 1 > frame.m:
             continue
         first, second = tilde[(p, q)], tilde[(p, q + 1)]
+        nonzero = _nonzero_rows(second.matrix)
+        if not nonzero:
+            continue
+        ncols = len(second.matrix[0])
         for col in transpose(first.matrix) if first.matrix else ():
-            if any(mat_vec(second.matrix, col)):
+            if any(_apply_sparse(nonzero, ncols, col)):
                 raise TheoremViolationError("induced del_bar does not square to zero")
     dol = {}
     for p, q in frame.bidegrees():
@@ -365,11 +363,10 @@ def _cw_pipeline(algebra, acs):
             for j in range(pres[(p, q - 1)].dim):
                 incoming.append(tuple(mat[i][j] for i in range(len(mat))))
         # cohomology inside the rep-coordinate space of H_mu_bar
-        dim, reps_coords = _two_term_cohomology(
-            incoming, outgoing, h, identity_matrix(h)
-        )
+        dim, reps_coords = _two_term_cohomology(incoming, outgoing, Subspace.full(h))
+        rep_rows = sparse_rows(dom.reps)
         ambient_reps = tuple(
-            _combine(dom.reps, coords, frame.dim(p, q)) for coords in reps_coords
+            combine_rows(coords, rep_rows, frame.dim(p, q)) for coords in reps_coords
         )
         dol[(p, q)] = (dim, reps_coords, ambient_reps)
     return pres, tilde, dol
@@ -434,13 +431,15 @@ def comparison_map_rank(algebra, acs, p, q):
     all_coords = iter(
         solve_many_in_rows(dol_reps_coords + im_sub.basis, [c for c in classes if c is not None])
     )
+    outgoing = tilde[(p, q)].matrix
+    nonzero = _nonzero_rows(outgoing)
     cols = []
     for v, cls in zip(treps, classes):
         if not mu_pres.sub.contains(v):
             raise TheoremViolationError("a transverse form escaped Ker mu_bar")
         if cls is None:
             raise TheoremViolationError("transverse class has no mu_bar-class expression")
-        if any(mat_vec(tilde[(p, q)].matrix, cls)):
+        if nonzero and any(_apply_sparse(nonzero, len(outgoing[0]), cls)):
             raise TheoremViolationError("image of a del_bar-closed transverse form is not closed")
         coords = next(all_coords)
         if coords is None:

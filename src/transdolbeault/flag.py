@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .acs import lie_derivative_endo, nijenhuis_image
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoremViolationError
 from .lie import bracket
 from .linalg import Subspace, column_space, subspace_sum
 
@@ -57,10 +57,10 @@ def derived_flag(algebra, acs):
         if nxt == stages[-1]:
             break
         if nxt.rank <= stages[-1].rank:  # strict growth is forced until the fixed point
-            raise AssertionError("derived flag failed to grow strictly before stabilizing")
+            raise TheoremViolationError("derived flag failed to grow strictly before stabilizing")
         stages.append(nxt)
         if len(stages) > algebra.dim + 1:
-            raise AssertionError("derived flag did not stabilize within dim(g) steps")
+            raise TheoremViolationError("derived flag did not stabilize within dim(g) steps")
     return DerivedFlag(tuple(stages), len(stages), stages[-1])
 
 

@@ -8,7 +8,7 @@ derived-flag recursion are detected by plain equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ShapeError, WellDefinednessError
 from .scalars import ONE, ZERO, GaussianRational
@@ -29,6 +29,8 @@ __all__ = [
     "mat_mul",
     "transpose",
     "identity_matrix",
+    "sparse_rows",
+    "combine_rows",
     "zero_matrix",
     "mat_inverse",
     "mat_rank",
@@ -205,10 +207,23 @@ def rref_rows(rows):
 
 @dataclass(frozen=True, slots=True)
 class Subspace:
-    """A linear subspace of Q(i)^ambient_dim in canonical reduced echelon form."""
+    """A linear subspace of Q(i)^ambient_dim in canonical reduced echelon form.
+
+    Next to the dense ``basis`` it stores, once, the pivot column of each
+    basis row and the row's ``((column, value), ...)`` nonzeros; membership
+    and reduction touch only those. Both are derived from ``basis``, so they
+    take no part in equality or hashing.
+    """
 
     ambient_dim: int
     basis: tuple
+    pivots: tuple = field(init=False, compare=False, repr=False)
+    sparse_basis: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        srows = sparse_rows(self.basis)
+        object.__setattr__(self, "sparse_basis", srows)
+        object.__setattr__(self, "pivots", tuple(row[0][0] for row in srows))
 
     @classmethod
     def from_rows(cls, ambient_dim, rows):
@@ -230,19 +245,31 @@ class Subspace:
     def rank(self):
         return len(self.basis)
 
-    @property
-    def pivots(self):
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
-
     def reduce(self, v):
         """Residue of v after eliminating all pivot coordinates; zero iff v is in the span."""
         _check_len(v, self.ambient_dim)
         v = as_vector(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                v = tuple(a - c * b for a, b in zip(v, row))
-        return v
+        w = {j: x for j, x in enumerate(v) if x}
+        if not w:
+            return v
+        for row, p in zip(self.sparse_basis, self.pivots):
+            c = w.get(p)
+            if c is None:
+                continue
+            for j, x in row:
+                old = w.get(j)
+                if old is None:
+                    w[j] = -(c * x)
+                else:
+                    new = old - c * x
+                    if new:
+                        w[j] = new
+                    else:
+                        del w[j]
+        out = [ZERO] * self.ambient_dim
+        for j, x in w.items():
+            out[j] = x
+        return tuple(out)
 
     def contains(self, v):
         return not any(self.reduce(v))
@@ -294,13 +321,7 @@ def subspace_intersection(a, b):
         return Subspace.zero(a.ambient_dim)
     stacked = a.basis + b.basis
     null = kernel(transpose(stacked), ncols=len(stacked))
-    gens = []
-    for x in null.basis:
-        w = zero_vector(a.ambient_dim)
-        for c, row in zip(x[: a.rank], a.basis):
-            if c:
-                w = add_vectors(w, scale_vector(c, row))
-        gens.append(w)
+    gens = [combine_rows(x[: a.rank], a.sparse_basis, a.ambient_dim) for x in null.basis]
     return Subspace.from_rows(a.ambient_dim, gens)
 
 
@@ -401,6 +422,30 @@ def quotient_representatives(sub, quot_by):
     return tuple(sub.basis[i] for i in _quotient_rep_indices(sub, quot_by))
 
 
+def sparse_rows(rows):
+    """Each dense row as its ``((column, value), ...)`` nonzeros, in column order."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+def combine_rows(coeffs, srows, n):
+    """sum(c * row for c, row in zip(coeffs, srows)) as a dense length-n vector.
+
+    The rows are given by their nonzeros (see sparse_rows); only those and
+    the nonzero coefficients are touched.
+    """
+    acc = {}
+    for c, row in zip(coeffs, srows):
+        if not c:
+            continue
+        for j, x in row:
+            old = acc.get(j)
+            acc[j] = c * x if old is None else old + c * x
+    out = [ZERO] * n
+    for j, x in acc.items():
+        out[j] = x
+    return tuple(out)
+
+
 def _apply_sparse(srows, ncols, v):
     """mat_vec on a matrix given by its [(column, value)] nonzero rows and column count."""
     if srows and ncols != len(v):
@@ -435,7 +480,7 @@ def induced_map_on_quotient(f, dom_sub, dom_quot_by, cod_sub, cod_quot_by):
         raise WellDefinednessError("dom_quot_by is not contained in dom_sub")
     if not cod_sub.contains_subspace(cod_quot_by):
         raise WellDefinednessError("cod_quot_by is not contained in cod_sub")
-    fs = [[(j, x) for j, x in enumerate(row) if x] for row in f]  # f is scanned once
+    fs = sparse_rows(f)  # f is scanned once
     fcols = len(f[0]) if f else 0
     images = [_apply_sparse(fs, fcols, row) for row in dom_sub.basis]
     for y in images:

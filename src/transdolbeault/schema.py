@@ -85,16 +85,20 @@ def parse_entry(doc, validate=True):
         raise SchemaError("document must be a JSON object")
     try:
         n = int(doc["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: inf
         raise SchemaError(f"missing or bad 'dim': {exc}") from exc
+    brackets = doc.get("brackets", ())
+    if not isinstance(brackets, (list, tuple)):
+        raise SchemaError(f"'brackets' must be a list of bracket entries, got {brackets!r}")
     table = {}
-    for item in doc.get("brackets", ()):
+    for item in brackets:
         try:
             i, j = int(item["i"]) - 1, int(item["j"]) - 1
             coeffs = {
                 int(k) - 1: _real_from_str(v) for k, v in item.get("coeffs", {}).items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+            # AttributeError: 'coeffs' (or the entry) is not an object
             raise SchemaError(f"bad bracket entry {item!r}: {exc}") from exc
         table[(i, j)] = coeffs
     try:

@@ -4,8 +4,8 @@ Everything here deliberately avoids the production code paths it checks:
 forms are evaluated as alternating multilinear maps on explicit vector
 tuples, the differential comes from the r<s double-sum formula, and ranks
 are computed by local elimination routines. The elimination oracles
-(oracle_rank, oracle_rref, oracle_solve, oracle_quotient_representatives)
-use nothing from transdolbeault.linalg.
+(oracle_rank, oracle_rref, oracle_solve, oracle_quotient_representatives,
+oracle_reduce) use nothing from transdolbeault.linalg.
 """
 
 from itertools import combinations, permutations
@@ -106,6 +106,19 @@ def oracle_solve(rows, v):
             return None
         coeffs[p] = row[k]
     return tuple(coeffs)
+
+
+def oracle_reduce(basis, v):
+    """Dense residue of v against echelon rows: for each row in order, clear its leading column.
+
+    Every entry of v is rewritten for every row, zeros included.
+    """
+    v = [GaussianRational.of(x) for x in v]
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        c = v[p] / row[p]
+        v = [a - c * b for a, b in zip(v, row)]
+    return tuple(v)
 
 
 def oracle_quotient_representatives(sub_basis, quot_basis):

@@ -144,12 +144,37 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError):
         parse_entry([1, 2, 3])
     j_std = ["0", "-1", "1", "0"]
-    for i, doc in enumerate(({"dim": 2, "J": 5}, {"dim": 2, "J": j_std, "h": 3})):
+    bad_docs = (
+        {"dim": 2, "J": 5},
+        {"dim": 2, "J": j_std, "h": 3},
+        {"dim": 2, "brackets": 5, "J": j_std},
+        {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": 5}], "J": j_std},
+        {"dim": 1e999, "J": j_std},
+    )
+    for i, doc in enumerate(bad_docs):
         with pytest.raises(SchemaError):
             parse_entry(doc)
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(doc))
         assert main(["report", "--input", str(path)]) == 3
+
+
+def test_derived_flag_failure_exits_2_without_traceback(monkeypatch, capsys):
+    import transdolbeault.flag as flag_mod
+    from transdolbeault.linalg import Subspace
+
+    def shrink(algebra, acs, d):  # Im N is 2-dimensional on kodaira_thurston
+        return Subspace.zero(algebra.dim)
+
+    monkeypatch.setattr(flag_mod, "_grow", shrink)
+    flag_mod.derived_flag.cache_clear()
+    try:
+        assert main(["report", "--catalog", "kodaira_thurston"]) == 2
+    finally:
+        flag_mod.derived_flag.cache_clear()
+    err = capsys.readouterr().err
+    assert "derived flag failed to grow strictly before stabilizing" in err
+    assert "Traceback" not in err
 
 
 def test_form_serialization_roundtrip(kt):

@@ -3,13 +3,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_quotient_representatives, oracle_rref, oracle_solve
+from oracles import (
+    oracle_quotient_representatives,
+    oracle_rank,
+    oracle_reduce,
+    oracle_rref,
+    oracle_solve,
+)
 from transdolbeault.errors import ShapeError, WellDefinednessError
 from transdolbeault.linalg import (
     Subspace,
     as_matrix,
     as_vector,
     basis_vector,
+    combine_rows,
     induced_map_on_quotient,
     identity_matrix,
     kernel,
@@ -19,6 +26,7 @@ from transdolbeault.linalg import (
     rref_rows,
     solve_in_rows,
     solve_many_in_rows,
+    sparse_rows,
     subspace_contains,
     subspace_intersection,
     subspace_sum,
@@ -287,3 +295,71 @@ def test_quotient_representatives_match_greedy_oracle(data):
     assert quotient_representatives(sub, quot) == oracle_quotient_representatives(
         sub.basis, quot.basis
     )
+
+
+# -- the stored sparse rows of a Subspace against the dense oracle ----------------
+
+def _dense_combination(coeffs, rows, n):
+    out = (ZERO,) * n
+    for c, row in zip(coeffs, rows):
+        out = tuple(a + c * b for a, b in zip(out, row))
+    return out
+
+
+@st.composite
+def subspaces(draw):
+    """(Subspace, spanning rows) from random rows, or the zero or full subspace."""
+    n, rows = draw(qi_matrices())
+    kind = draw(st.sampled_from(("rows", "rows", "zero", "full")))
+    if kind == "zero":
+        rows = ()
+    elif kind == "full":
+        rows = tuple(basis_vector(n, i) for i in range(n))
+    return Subspace.from_rows(n, rows), rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_subspace_reduce_and_contains_match_dense_oracle(data):
+    sub, rows = data.draw(subspaces())
+    n = sub.ambient_dim
+    assert sub.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in sub.basis)
+    members = [
+        _dense_combination([data.draw(_entries) for _ in rows], rows, n)
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    _, others = data.draw(qi_matrices(ncols=n))  # mostly outside the span
+    base_rank = oracle_rank(sub.basis)
+    for v in members + list(others) + [(ZERO,) * n]:
+        assert sub.reduce(v) == oracle_reduce(sub.basis, v)
+        assert sub.contains(v) == (oracle_rank(list(sub.basis) + [v]) == base_rank)
+    for v in members:
+        assert sub.contains(v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_equal_spans_give_equal_subspaces_and_hashes(data):
+    sub, rows = data.draw(subspaces())
+    n = sub.ambient_dim
+    # an invertible recombination of the rows, reordered, with zero rows mixed in
+    other = []
+    for r in rows:
+        c = data.draw(_entries.filter(bool))
+        other.append(tuple(c * x for x in r))
+    if len(other) > 1:
+        c = data.draw(_entries)
+        other[0] = tuple(a + c * b for a, b in zip(other[0], other[-1]))
+    other = data.draw(st.permutations(other + [(ZERO,) * n] * data.draw(st.integers(0, 2))))
+    again = Subspace.from_rows(n, other)
+    assert again == sub
+    assert hash(again) == hash(sub)
+    assert again.pivots == sub.pivots and again.sparse_basis == sub.sparse_basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_combine_rows_matches_dense_sum(data):
+    n, rows = data.draw(qi_matrices())
+    coeffs = [ZERO if data.draw(st.booleans()) else data.draw(_entries) for _ in rows]
+    assert combine_rows(coeffs, sparse_rows(rows), n) == _dense_combination(coeffs, rows, n)
