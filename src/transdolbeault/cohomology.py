@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .acs import nijenhuis_image
 from .errors import PreconditionError, TheoremViolationError
 from .flag import derived_flag
-from .forms import bigraded_frame, component_operators
+from .forms import bigraded_frame, component_operators, wedge_one_form
 from .lie import bracket
 from .linalg import (
     Subspace,
@@ -137,7 +137,7 @@ def transverse_structure_report(algebra, acs, dist):
 
 @dataclass(frozen=True)
 class TransverseModule:
-    """Per-bidegree joint kernels of contraction and Lie derivative along D."""
+    """Per-bidegree spaces of forms basic along D: ι_U ω = 0 and L_U ω = 0 for U in D."""
 
     distribution: Subspace
     spaces: tuple  # sorted (((p, q), Subspace of the bidegree coefficient space), ...)
@@ -161,26 +161,45 @@ def transverse_module(algebra, acs, dist):
             raise PreconditionError(
                 f"distribution is not involutive: [{tuple(map(str, u))}, {tuple(map(str, v))}] escapes"
             )
+    if dist.is_zero():
+        return TransverseModule(
+            dist, tuple(((p, q), Subspace.full(frame.dim(p, q))) for p, q in frame.bidegrees())
+        )
+    # Basic forms: ker(ι_D) on Λ^{p,q} is Λ^{p,q}(Ann D), and there L_U ω = ι_U dω.
     coords_list = [frame.w_coords(f) for f in dist.basis]
-    lie_list = [frame.lie_coefficients(f) for f in dist.basis]
+    ann = kernel(coords_list, ncols=2 * frame.m)
+    rows_10, rows_01 = [], []
+    for row in ann.basis:
+        support = [g for g, c in enumerate(row) if c]
+        if support[-1] < frame.m:
+            rows_10.append(row)
+        elif support[0] >= frame.m:
+            rows_01.append(row)
+        else:
+            raise TheoremViolationError(
+                f"annihilator of a J-stable distribution has a mixed-type row {tuple(map(str, row))}"
+            )
     spaces = []
     for p, q in frame.bidegrees():
-        monos = frame.mono_basis(p, q)
-        dim = len(monos)
+        dim = frame.dim(p, q)
+        index = frame.mono_index(p, q)
+        forms = []
+        for chosen in product(combinations(rows_10, p), combinations(rows_01, q)):
+            flat = {(): ONE}
+            for row in chosen[0] + chosen[1]:
+                flat = wedge_one_form(flat, row)
+            forms.append(flat)
+        # rows of the system ι_U dω = 0 in the coefficients of the wedge basis
         rows = {}
-        for j, mono in enumerate(monos):
-            flat = {mono: ONE}
+        for b, flat in enumerate(forms):
+            d_omega = frame.d_flat(flat)
             for fi, coords in enumerate(coords_list):
-                for tgt, c in frame.contract_flat(coords, flat).items():
-                    rows.setdefault(("i", fi, tgt), [ZERO] * dim)[j] = c
-            for fi, lco in enumerate(lie_list):
-                for tgt, c in frame.lie_flat(lco, flat).items():
-                    rows.setdefault(("l", fi, tgt), [ZERO] * dim)[j] = c
-        if rows:
-            space = kernel(tuple(tuple(r) for r in rows.values()))
-        else:
-            space = Subspace.full(dim)
-        spaces.append(((p, q), space))
+                for tgt, c in frame.contract_flat(coords, d_omega).items():
+                    rows.setdefault((fi, tgt), [ZERO] * len(forms))[b] = c
+        solution = kernel(tuple(tuple(r) for r in rows.values()), ncols=len(forms))
+        form_rows = [tuple((index[mono], c) for mono, c in flat.items() if c) for flat in forms]
+        gens = [combine_rows(x, form_rows, dim) for x in solution.basis]
+        spaces.append(((p, q), Subspace.from_rows(dim, gens)))
     return TransverseModule(dist, tuple(spaces))
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "ce_d",
     "bigrade",
     "realize",
+    "wedge_one_form",
     "component_operators",
     "verify_d2_relations",
     "contract",
@@ -57,6 +58,24 @@ def _sort_with_sign(seq):
         if a == b:
             return 0, None
     return sign, tuple(items)
+
+
+def wedge_one_form(flat, coeffs):
+    """flat ∧ (Σ_a coeffs[a] e^a) for a flat {monomial: coeff} form.
+
+    Terms are accumulated in (monomial, a) order, which fixes the key order
+    of the result; zero sums are kept.
+    """
+    out = {}
+    for mono, mc in flat.items():
+        for a, w in enumerate(coeffs):
+            if w:
+                sgn, tgt = _sort_with_sign(mono + (a,))
+                if sgn:
+                    val = mc * w * sgn
+                    acc = out.get(tgt)
+                    out[tgt] = val if acc is None else acc + val
+    return out
 
 
 class BigradedFrame:
@@ -330,7 +349,7 @@ def bigrade(algebra, acs, real_form):
     """
     frame = bigraded_frame(algebra, acs)
     flat = {}
-    gen_count = 2 * frame.m
+    columns = tuple(zip(*frame.vectors))  # columns[i][a]: coordinate i of generator a
     for key, raw in real_form.items():
         c = GaussianRational.of(raw)
         if not c:
@@ -343,17 +362,7 @@ def bigrade(algebra, acs, real_form):
             continue
         terms = {(): c * sgn}
         for i in skey:
-            nxt = {}
-            for mono, mc in terms.items():
-                for a in range(gen_count):
-                    w = frame.vectors[a][i]
-                    if w:
-                        s2, tgt = _sort_with_sign(mono + (a,))
-                        if s2:
-                            val = mc * w * s2
-                            acc = nxt.get(tgt)
-                            nxt[tgt] = val if acc is None else acc + val
-            terms = nxt
+            terms = wedge_one_form(terms, columns[i])
         for mono, mc in terms.items():
             if mc:
                 flat[mono] = flat.get(mono, ZERO) + mc
@@ -367,17 +376,7 @@ def realize(form):
     for mono, c in form.flat().items():
         terms = {(): c}
         for g in mono:
-            cov = frame.covectors[g]
-            nxt = {}
-            for rmono, mc in terms.items():
-                for i in range(frame.n):
-                    if cov[i]:
-                        s2, tgt = _sort_with_sign(rmono + (i,))
-                        if s2:
-                            val = mc * cov[i] * s2
-                            acc = nxt.get(tgt)
-                            nxt[tgt] = val if acc is None else acc + val
-            terms = nxt
+            terms = wedge_one_form(terms, frame.covectors[g])
         for rmono, mc in terms.items():
             acc = out.get(rmono)
             out[rmono] = mc if acc is None else acc + mc

@@ -87,6 +87,20 @@ def parse_entry(doc, validate=True):
         n = int(doc["dim"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: inf
         raise SchemaError(f"missing or bad 'dim': {exc}") from exc
+    if n <= 0:
+        raise SchemaError(f"'dim' must be a positive integer, got {n}")
+    # J is checked first: its length bounds dim before anything of size dim is built.
+    # Messages name dim, not dim*dim, which may be too long to print.
+    flat = doc.get("J")
+    if flat is None:
+        raise SchemaError("missing 'J' (row-major list of rational strings)")
+    if not isinstance(flat, (list, tuple)):
+        raise SchemaError(f"'J' must be a list of dim*dim rational strings, got {flat!r}")
+    if len(flat) != n * n:
+        raise SchemaError(f"'J' must have dim*dim entries for dim {n}, got {len(flat)}")
+    vals = [_real_from_str(s) for s in flat]
+    j_rows = tuple(tuple(GaussianRational.of(x) for x in vals[r * n:(r + 1) * n]) for r in range(n))
+
     brackets = doc.get("brackets", ())
     if not isinstance(brackets, (list, tuple)):
         raise SchemaError(f"'brackets' must be a list of bracket entries, got {brackets!r}")
@@ -105,16 +119,6 @@ def parse_entry(doc, validate=True):
         algebra = LieAlgebra.from_brackets(n, table)
     except (ShapeError, ValidationError) as exc:
         raise SchemaError(f"bad bracket table: {exc}") from exc
-
-    flat = doc.get("J")
-    if flat is None:
-        raise SchemaError("missing 'J' (row-major list of rational strings)")
-    if not isinstance(flat, (list, tuple)):
-        raise SchemaError(f"'J' must be a list of {n * n} rational strings, got {flat!r}")
-    if len(flat) != n * n:
-        raise SchemaError(f"'J' must have {n * n} entries, got {len(flat)}")
-    vals = [_real_from_str(s) for s in flat]
-    j_rows = tuple(tuple(GaussianRational.of(x) for x in vals[r * n:(r + 1) * n]) for r in range(n))
 
     h = None
     if "h" in doc:
@@ -143,7 +147,8 @@ def load_entry_file(path, validate=True):
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers too long to convert
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return parse_entry(doc, validate=validate)
 

@@ -4,8 +4,9 @@ Everything here deliberately avoids the production code paths it checks:
 forms are evaluated as alternating multilinear maps on explicit vector
 tuples, the differential comes from the r<s double-sum formula, and ranks
 are computed by local elimination routines. The elimination oracles
-(oracle_rank, oracle_rref, oracle_solve, oracle_quotient_representatives,
-oracle_reduce) use nothing from transdolbeault.linalg.
+(oracle_rank, oracle_rref, oracle_kernel, oracle_solve,
+oracle_quotient_representatives, oracle_reduce) use nothing from
+transdolbeault.linalg; oracle_transverse_module eliminates with them.
 """
 
 from itertools import combinations, permutations
@@ -119,6 +120,51 @@ def oracle_reduce(basis, v):
         c = v[p] / row[p]
         v = [a - c * b for a, b in zip(v, row)]
     return tuple(v)
+
+
+def oracle_kernel(rows, ncols):
+    """Canonical echelon basis of {v : rows·v = 0} in Q(i)^ncols, by oracle_rref twice."""
+    ech, pivots = oracle_rref(rows) if rows else ((), ())
+    gens = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for row, p in zip(ech, pivots):
+            v[p] = -row[free]
+        gens.append(v)
+    return oracle_rref(gens)[0] if gens else ()
+
+
+def oracle_transverse_module(algebra, acs, vectors):
+    """{(p, q): Subspace} of forms killed by ι_U and L_U for every U in ``vectors``.
+
+    The joint kernel of every contraction row and every Lie-derivative row
+    (L_U taken directly from the brackets, not by Cartan's formula), per
+    bidegree, eliminated by oracle_rref. The span of ``vectors`` is not
+    checked for J-stability or involutivity. Subspace only holds the
+    canonical rows.
+    """
+    from transdolbeault.forms import bigraded_frame
+    from transdolbeault.linalg import Subspace
+
+    frame = bigraded_frame(algebra, acs)
+    coords = [frame.w_coords(f) for f in vectors]
+    lies = [frame.lie_coefficients(f) for f in vectors]
+    out = {}
+    for p, q in frame.bidegrees():
+        dim = frame.dim(p, q)
+        rows = {}
+        for j, mono in enumerate(frame.mono_basis(p, q)):
+            for fi, c in enumerate(coords):
+                for tgt, val in frame.contract_flat(c, {mono: ONE}).items():
+                    rows.setdefault(("i", fi, tgt), [ZERO] * dim)[j] = val
+            for fi, lco in enumerate(lies):
+                for tgt, val in frame.lie_flat(lco, {mono: ONE}).items():
+                    rows.setdefault(("l", fi, tgt), [ZERO] * dim)[j] = val
+        out[(p, q)] = Subspace(dim, oracle_kernel(list(rows.values()), dim))
+    return out
 
 
 def oracle_quotient_representatives(sub_basis, quot_basis):

@@ -19,6 +19,7 @@ from oracles import (
     largest_graded_dstable_annihilator,
     module_closure_properties,
     oracle_hp0_dims,
+    oracle_transverse_module,
 )
 from transdolbeault.acs import (
     AlmostComplexStructure,
@@ -34,7 +35,7 @@ from transdolbeault.cohomology import (
     transverse_module,
 )
 from transdolbeault.flag import classify, derived_flag, t10_derived_involutive
-from transdolbeault.forms import bigraded_frame, component_operators, verify_d2_relations
+from transdolbeault.forms import component_operators, verify_d2_relations
 from transdolbeault.homogeneous import (
     HomogeneousPair,
     base_nijenhuis,
@@ -45,11 +46,9 @@ from transdolbeault.linalg import (
     Subspace,
     basis_vector,
     column_space,
-    kernel,
     mat_vec,
     scale_vector,
 )
-from transdolbeault.scalars import ONE, ZERO
 
 _timings = {}
 
@@ -244,7 +243,7 @@ def test_criterion_09_smallest_submodule(catalog_entries):
         # closure property (it would otherwise contradict maximality)
         for drop in range(dist.rank):
             rows = tuple(r for i, r in enumerate(dist.basis) if i != drop)
-            candidate = _joint_kernel_along(L, acs, rows)
+            candidate = oracle_transverse_module(L, acs, rows)
             grew = any(
                 candidate[bid].rank > spaces[bid].rank for bid in candidate
             )
@@ -255,28 +254,6 @@ def test_criterion_09_smallest_submodule(catalog_entries):
             ok &= not (cprops[0] and cprops[1])
             detail.append(f"{entry.name}: deletion {drop} broke a closure property")
     _report("9 smallest-submodule characterization", ok)
-
-
-def _joint_kernel_along(algebra, acs, vectors):
-    frame = bigraded_frame(algebra, acs)
-    coords = [frame.w_coords(f) for f in vectors]
-    lies = [frame.lie_coefficients(f) for f in vectors]
-    out = {}
-    for p, q in frame.bidegrees():
-        dim = frame.dim(p, q)
-        rows = {}
-        for j, mono in enumerate(frame.mono_basis(p, q)):
-            for fi, c in enumerate(coords):
-                for tgt, val in frame.contract_flat(c, {mono: ONE}).items():
-                    rows.setdefault(("i", fi, tgt), [ZERO] * dim)[j] = val
-            for fi, lco in enumerate(lies):
-                for tgt, val in frame.lie_flat(lco, {mono: ONE}).items():
-                    rows.setdefault(("l", fi, tgt), [ZERO] * dim)[j] = val
-        out[(p, q)] = (
-            kernel(tuple(tuple(r) for r in rows.values()), ncols=dim)
-            if rows else Subspace.full(dim)
-        )
-    return out
 
 
 def test_criterion_10_determinism_and_budget():

@@ -150,12 +150,18 @@ def test_schema_errors(tmp_path):
         {"dim": 2, "brackets": 5, "J": j_std},
         {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": 5}], "J": j_std},
         {"dim": 1e999, "J": j_std},
+        {"dim": 1e300, "J": ["0"], "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]},
     )
     for i, doc in enumerate(bad_docs):
         with pytest.raises(SchemaError):
             parse_entry(doc)
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(path)]) == 3
+    # JSON that the decoder itself refuses: an integer too long to convert, deep nesting
+    for i, text in enumerate(('{"dim": ' + "1" * 5000 + ', "J": ["0"]}', "[" * 100000)):
+        path = tmp_path / f"raw{i}.json"
+        path.write_text(text)
         assert main(["report", "--input", str(path)]) == 3
 
 
@@ -189,3 +195,80 @@ def test_form_serialization_roundtrip(kt):
     doc = form_to_json(form)
     assert form_from_json(frame, doc) == form
     assert json.loads(dumps_canonical(doc)) == doc
+
+
+def test_schema_checks_j_before_building_the_algebra(monkeypatch):
+    """A J of the wrong length is rejected before anything of size dim is allocated."""
+    import transdolbeault.schema as schema_mod
+    from transdolbeault.errors import SchemaError
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LieAlgebra.from_brackets ran before the J checks")
+
+    monkeypatch.setattr(schema_mod.LieAlgebra, "from_brackets", forbidden)
+    brackets = [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]
+    for doc in (
+        {"dim": 10000000, "brackets": brackets, "J": ["0"]},
+        {"dim": 1e300, "brackets": brackets, "J": ["0"]},
+        {"dim": 4, "brackets": brackets, "J": ["0", "-1", "1", "0"]},
+    ):
+        with pytest.raises(SchemaError, match="'J' must have"):
+            parse_entry(doc)
+
+
+_J_STANDARD = {
+    2: ["0", "-1", "1", "0"],
+    4: ["0", "-1", "0", "0", "1", "0", "0", "0", "0", "0", "0", "-1", "0", "0", "1", "0"],
+}
+
+
+def _fuzz_documents():
+    from hypothesis import strategies as st
+
+    huge = st.sampled_from(["1" + "0" * 2200, 10 ** 300, 1e300, -(10 ** 300)])
+    junk = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 5), st.floats(allow_nan=True),
+        st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2), huge,
+    )
+    scalar = st.one_of(st.sampled_from(["0", "1", "-1", "2", "1/2", "1/0", "x", ""]), junk)
+    dim = st.one_of(st.integers(-2, 4), junk)
+    j = st.one_of(
+        st.sampled_from(list(_J_STANDARD.values())),
+        st.lists(scalar, max_size=17),
+        junk,
+    )
+    index = st.one_of(st.integers(-1, 5), junk)
+    coeffs = st.one_of(st.dictionaries(st.one_of(st.sampled_from(["1", "2", "3", "4", "9"]), st.text(max_size=2)),
+                                       scalar, max_size=3), junk)
+    bracket_entry = st.one_of(st.fixed_dictionaries({"i": index, "j": index, "coeffs": coeffs}), junk)
+    brackets = st.one_of(st.lists(bracket_entry, max_size=3), junk)
+    h = st.one_of(st.lists(st.one_of(st.lists(scalar, max_size=5), junk), max_size=2), junk)
+    optional = st.fixed_dictionaries({}, optional={"brackets": brackets, "h": h, "J_mod_h": junk})
+    return st.tuples(st.fixed_dictionaries({}, optional={"dim": dim, "J": j}), optional).map(
+        lambda parts: {**parts[0], **parts[1]}
+    )
+
+
+def test_report_input_fuzz_exits_cleanly():
+    """Any small JSON-like document makes `report` exit 0, 1 or 3, never raise."""
+    import contextlib
+    import io
+    import os
+    import tempfile
+
+    from hypothesis import given, settings
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+
+        @settings(max_examples=300, deadline=None)
+        @given(_fuzz_documents())
+        def run(doc):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                status = main(["report", "--input", path])
+            assert status in (0, 1, 3), (doc, status)
+
+        run()

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from conftest import instance_pool
-from oracles import oracle_hp0_dims
+from oracles import oracle_hp0_dims, oracle_rank, oracle_transverse_module
 from transdolbeault.catalog import catalog_get
 from transdolbeault.cohomology import (
     compare_p0,
@@ -14,9 +14,10 @@ from transdolbeault.cohomology import (
     transverse_module,
     transverse_structure_report,
 )
-from transdolbeault.errors import PreconditionError
+from transdolbeault.errors import PreconditionError, TheoremViolationError
 from transdolbeault.acs import nijenhuis_image
 from transdolbeault.flag import derived_flag
+from transdolbeault.lie import bracket
 from transdolbeault.forms import BigradedForm, bigrade, bigraded_frame, component_operators, contract
 from transdolbeault.linalg import Subspace, as_vector, basis_vector, kernel
 from transdolbeault.scalars import GaussianRational, I, ONE, ZERO
@@ -94,6 +95,49 @@ def test_module_conjugation_symmetry(strict_entries):
             for vec in space.basis:
                 w = _module_form(frame, p, q, vec).conjugate()
                 assert mirror.contains(w.component(q, p))
+
+
+def _assert_module_matches_oracle(L, acs, dist):
+    module = transverse_module(L, acs, dist)
+    oracle = oracle_transverse_module(L, acs, dist.basis)
+    assert [bid for bid, _ in module.spaces] == sorted(oracle)
+    for bid, space in module.spaces:
+        expected = oracle[bid]
+        assert space.rank == expected.rank, (bid, space.rank, expected.rank)
+        stacked = list(space.basis) + list(expected.basis)
+        assert oracle_rank(stacked) == space.rank, bid
+
+
+def test_module_matches_joint_kernel_oracle(strict_entries):
+    """Basic forms (Λ(Ann D), then ι_U dω = 0) span the contraction + Lie joint kernel."""
+    for entry in strict_entries:
+        L, acs = entry.algebra, entry.acs
+        for dist in (derived_flag(L, acs).limit, Subspace.zero(L.dim), Subspace.full(L.dim)):
+            _assert_module_matches_oracle(L, acs, dist)
+
+
+def test_module_matches_joint_kernel_oracle_on_pool():
+    """Flag limits, and every involutive span{e_i, J e_i}: most flag limits are
+    ideals, where L_U kills Λ(Ann D) anyway; 14 of these planes are not."""
+    for L, acs, _seed in instance_pool(21):
+        _assert_module_matches_oracle(L, acs, derived_flag(L, acs).limit)
+        for i in range(L.dim):
+            e = basis_vector(L.dim, i)
+            plane = Subspace.from_rows(L.dim, [e, acs.apply(e)])
+            if all(plane.contains(bracket(L, u, v)) for u in plane.basis for v in plane.basis):
+                _assert_module_matches_oracle(L, acs, plane)
+
+
+def test_module_mixed_annihilator_row_is_a_theorem_violation(kt, monkeypatch):
+    """A J-stable D has a type-pure annihilator; a mixed echelon row is reported, not used."""
+    import transdolbeault.cohomology as coh
+
+    L, acs = kt.algebra, kt.acs
+    dist = derived_flag(L, acs).limit
+    mixed = Subspace.from_rows(4, [as_vector([1, 0, 1, 0])])  # e^0 + e^2: (1,0) + (0,1)
+    monkeypatch.setattr(coh, "kernel", lambda m, ncols=None: mixed)
+    with pytest.raises(TheoremViolationError, match="mixed-type row"):
+        transverse_module.__wrapped__(L, acs, dist)
 
 
 # -- transverse Dolbeault ------------------------------------------------------------
