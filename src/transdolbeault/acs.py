@@ -15,7 +15,6 @@ from .errors import ShapeError, ValidationError
 from .lie import bracket
 from .linalg import (
     Subspace,
-    add_vectors,
     as_matrix,
     basis_vector,
     conj_vector,
@@ -162,7 +161,11 @@ def split_10_01(algebra, acs):
 
 
 def nijenhuis(algebra, acs, x, y):
-    """N^J(x,y) = [Jx,Jy] - J[Jx,y] - J[x,Jy] + J^2[x,y]."""
+    """N^J(x,y) = [Jx,Jy] - J[Jx,y] - J[x,Jy] - [x,y].
+
+    This is the J^2[x,y] form for a strict J (J^2 = -Id exactly) and the
+    homogeneous normalization for a mod-h J (J^2 = -Id only mod h).
+    """
     n = algebra.dim
     if len(x) != n or len(y) != n:
         raise ShapeError(f"vectors must have length {n}")
@@ -170,13 +173,12 @@ def nijenhuis(algebra, acs, x, y):
     out = bracket(algebra, jx, jy)
     out = sub_vectors(out, acs.apply(bracket(algebra, jx, y)))
     out = sub_vectors(out, acs.apply(bracket(algebra, x, jy)))
-    out = add_vectors(out, acs.apply(acs.apply(bracket(algebra, x, y))))
-    return out
+    return sub_vectors(out, bracket(algebra, x, y))
 
 
 @lru_cache(maxsize=None)
 def nijenhuis_image(algebra, acs):
-    """Span of N^J over basis pairs; J-stable by N^J(Jx,y) = -J N^J(x,y)."""
+    """Span of N^J over basis pairs; J-stable (mod h for a mod-h J) by N^J(Jx,y) = -J N^J(x,y)."""
     n = algebra.dim
     vals = [
         nijenhuis(algebra, acs, basis_vector(n, i), basis_vector(n, j))

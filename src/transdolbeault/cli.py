@@ -41,7 +41,7 @@ from .homogeneous import (
 from .lie import validate_lie_algebra
 from .linalg import Subspace
 from .scalars import rational_to_str
-from .schema import dumps_canonical, load_entry_file, table_to_json
+from .schema import dumps_canonical, load_entry_file
 
 __all__ = ["RunConfig", "execute", "main"]
 
@@ -74,6 +74,10 @@ def _load(config, validate=True):
             raise PreconditionError("--seed replaces J and is not supported with a stabilizer h")
         acs = random_acs(algebra, config.seed)
         j_rows = acs.J
+    if h is not None and config.command in ("classify", "flag", "cohomology", "report"):
+        raise PreconditionError(
+            f"{config.command} expects a strict structure; use the homogeneous command"
+        )
     return algebra, acs, h, j_rows
 
 
@@ -82,6 +86,14 @@ def _filter_dims(table, max_degree):
     if max_degree is None:
         return dims
     return {pq: d for pq, d in dims.items() if pq[0] + pq[1] <= max_degree}
+
+
+def _tables_json(tables, max_degree):
+    """Each table's dims keyed "p,q", filtered by --max-degree."""
+    return {
+        name: {f"{p},{q}": d for (p, q), d in _filter_dims(t, max_degree).items()}
+        for name, t in tables.items()
+    }
 
 
 def _render_grid(title, dims):
@@ -159,9 +171,7 @@ def _cmd_validate(config):
 
 
 def _cmd_classify(config):
-    algebra, acs, h, _ = _load(config)
-    if h is not None:
-        raise PreconditionError("classify expects a strict structure; use the homogeneous command")
+    algebra, acs, _, _ = _load(config)
     c = classify(algebra, acs)
     if config.fmt == "json":
         return 0, dumps_canonical(c.to_json()) + "\n"
@@ -169,9 +179,7 @@ def _cmd_classify(config):
 
 
 def _cmd_flag(config):
-    algebra, acs, h, _ = _load(config)
-    if h is not None:
-        raise PreconditionError("flag expects a strict structure")
+    algebra, acs, _, _ = _load(config)
     fl = derived_flag(algebra, acs)
     doc = {
         "flag_dims": [s.rank for s in fl.stages],
@@ -191,20 +199,10 @@ def _cmd_flag(config):
 
 
 def _cmd_cohomology(config):
-    algebra, acs, h, _ = _load(config)
-    if h is not None:
-        raise PreconditionError("cohomology expects a strict structure")
+    algebra, acs, _, _ = _load(config)
     tables = _tables(algebra, acs, config.theory)
     if config.fmt == "json":
-        doc = {
-            "tables": {
-                name: table_to_json(t) if config.max_degree is None else {
-                    f"{p},{q}": d
-                    for (p, q), d in _filter_dims(t, config.max_degree).items()
-                }
-                for name, t in tables.items()
-            }
-        }
+        doc = {"tables": _tables_json(tables, config.max_degree)}
         return 0, dumps_canonical(doc) + "\n"
     out = ""
     for name in ("trans", "mu_bar", "cw"):
@@ -259,23 +257,16 @@ def _cmd_homogeneous(config):
 
 
 def _cmd_report(config):
-    algebra, acs, h, _ = _load(config)
-    if h is not None:
-        raise PreconditionError("report expects a strict structure; use the homogeneous command")
+    algebra, acs, _, _ = _load(config)
     c = classify(algebra, acs)
     tables = _tables(algebra, acs, "both")
     compare_p0(algebra, acs)  # raises TheoremViolationError on mismatch
     doc = {
         "classification": c.to_json(),
         "flag_dims": list(c.flag_dims),
-        "tables": {name: table_to_json(t) for name, t in tables.items()},
+        "tables": _tables_json(tables, config.max_degree),
         "p0_check": "pass",
     }
-    if config.max_degree is not None:
-        for name, t in tables.items():
-            doc["tables"][name] = {
-                f"{p},{q}": d for (p, q), d in _filter_dims(t, config.max_degree).items()
-            }
     if config.fmt == "json":
         return 0, dumps_canonical(doc) + "\n"
     out = f"classification: {c.class_name}, dim Im N = {c.dim_im_N}\n"

@@ -17,15 +17,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .acs import nijenhuis_image
 from .errors import PreconditionError, TheoremViolationError
-from .flag import derived_flag
+from .flag import closure_witness, derived_flag
 from .forms import bigraded_frame, component_operators, wedge_one_form
-from .lie import bracket
 from .linalg import (
     Subspace,
     _apply_sparse,
-    column_space,
     combine_rows,
     induced_map_on_quotient,
     kernel,
@@ -102,37 +99,17 @@ class TransverseStructureReport:
 
 
 def transverse_structure_report(algebra, acs, dist):
-    from .acs import lie_derivative_endo
-
-    witness = None
-    j_stable = True
-    for row in dist.basis:
-        jr = acs.apply(row)
-        if not dist.contains(jr):
-            j_stable, witness = False, {"kind": "j_stable", "vector": row, "image": jr}
-            break
-    involutive = True
-    if witness is None:
-        for u, v in combinations(dist.basis, 2):
-            w = bracket(algebra, u, v)
-            if not dist.contains(w):
-                involutive, witness = False, {"kind": "bracket", "u": u, "v": v, "value": w}
-                break
-    lie_ok = True
-    if witness is None:
-        for u in dist.basis:
-            img = column_space(lie_derivative_endo(algebra, acs, u))
-            if not dist.contains_subspace(img):
-                bad = next(r for r in img.basis if not dist.contains(r))
-                lie_ok, witness = False, {"kind": "lie_derivative", "u": u, "value": bad}
-                break
-    contains_im = True
-    if witness is None:
-        im = nijenhuis_image(algebra, acs)
-        if not dist.contains_subspace(im):
-            bad = next(r for r in im.basis if not dist.contains(r))
-            contains_im, witness = False, {"kind": "nijenhuis_image", "value": bad}
-    return TransverseStructureReport(j_stable, involutive, lie_ok, contains_im, witness)
+    witness = closure_witness(
+        algebra, acs, dist, ("j_stable", "bracket", "lie_derivative", "nijenhuis_image")
+    )
+    failed = witness and witness["kind"]
+    return TransverseStructureReport(
+        failed != "j_stable",
+        failed != "bracket",
+        failed != "lie_derivative",
+        failed != "nijenhuis_image",
+        witness,
+    )
 
 
 @dataclass(frozen=True)
@@ -149,18 +126,14 @@ class TransverseModule:
 @lru_cache(maxsize=None)
 def transverse_module(algebra, acs, dist):
     frame = bigraded_frame(algebra, acs)
-    for row in dist.basis:
-        jr = acs.apply(row)
-        if not dist.contains(jr):
-            raise PreconditionError(
-                f"distribution is not J-stable: J maps {tuple(map(str, row))} outside"
-            )
-    for u, v in combinations(dist.basis, 2):
-        w = bracket(algebra, u, v)
-        if not dist.contains(w):
-            raise PreconditionError(
-                f"distribution is not involutive: [{tuple(map(str, u))}, {tuple(map(str, v))}] escapes"
-            )
+    witness = closure_witness(algebra, acs, dist, ("j_stable", "bracket"))
+    if witness is not None and witness["kind"] == "j_stable":
+        raise PreconditionError(
+            f"distribution is not J-stable: J maps {tuple(map(str, witness['vector']))} outside"
+        )
+    if witness is not None:
+        u, v = (tuple(map(str, witness[key])) for key in ("u", "v"))
+        raise PreconditionError(f"distribution is not involutive: [{u}, {v}] escapes")
     if dist.is_zero():
         return TransverseModule(
             dist, tuple(((p, q), Subspace.full(frame.dim(p, q))) for p, q in frame.bidegrees())

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .acs import lie_derivative_endo, nijenhuis_image
 from .errors import PreconditionError, TheoremViolationError
-from .lie import bracket
+from .lie import bracket, bracket_escape
 from .linalg import Subspace, column_space, subspace_sum
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "InvolutivityReport",
     "Classification",
     "derived_flag",
+    "closure_witness",
     "t10_derived_involutive",
     "classify",
 ]
@@ -64,6 +65,42 @@ def derived_flag(algebra, acs):
     return DerivedFlag(tuple(stages), len(stages), stages[-1])
 
 
+def _first_outside(d, sub):
+    return next((r for r in sub.basis if not d.contains(r)), None)
+
+
+def closure_witness(algebra, acs, d, kinds):
+    """Witness dict for the first property in kinds that the subspace d fails, or None.
+
+    Kinds, checked in the order given: "j_stable" (J d ⊆ d), "bracket"
+    ([d, d] ⊆ d on basis pairs), "lie_derivative" (Im(L_U J) ⊆ d for every
+    basis vector U of d) and "nijenhuis_image" (Im N^J ⊆ d).
+    """
+    for kind in kinds:
+        if kind == "j_stable":
+            for row in d.basis:
+                jr = acs.apply(row)
+                if not d.contains(jr):
+                    return {"kind": kind, "vector": row, "image": jr}
+        elif kind == "bracket":
+            escape = bracket_escape(algebra, d)
+            if escape is not None:
+                u, v, w = escape
+                return {"kind": kind, "u": u, "v": v, "value": w}
+        elif kind == "lie_derivative":
+            for u in d.basis:
+                bad = _first_outside(d, column_space(lie_derivative_endo(algebra, acs, u)))
+                if bad is not None:
+                    return {"kind": kind, "u": u, "value": bad}
+        elif kind == "nijenhuis_image":
+            bad = _first_outside(d, nijenhuis_image(algebra, acs))
+            if bad is not None:
+                return {"kind": kind, "value": bad}
+        else:
+            raise ValueError(f"unknown closure kind {kind!r}")
+    return None
+
+
 @dataclass(frozen=True)
 class InvolutivityReport:
     involutive: bool
@@ -81,17 +118,8 @@ def t10_derived_involutive(algebra, acs, k):
         raise PreconditionError(
             f"k={k} out of range; flag stabilizes at index {flag.stable_index}"
         )
-    d = flag.stages[k - 1]
-    for u, v in combinations(d.basis, 2):
-        w = bracket(algebra, u, v)
-        if not d.contains(w):
-            return InvolutivityReport(False, {"kind": "bracket", "u": u, "v": v, "value": w})
-    for u in d.basis:
-        img = column_space(lie_derivative_endo(algebra, acs, u))
-        if not d.contains_subspace(img):
-            bad = next(r for r in img.basis if not d.contains(r))
-            return InvolutivityReport(False, {"kind": "lie_derivative", "u": u, "value": bad})
-    return InvolutivityReport(True, None)
+    witness = closure_witness(algebra, acs, flag.stages[k - 1], ("bracket", "lie_derivative"))
+    return InvolutivityReport(witness is None, witness)
 
 
 @dataclass(frozen=True)

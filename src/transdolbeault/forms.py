@@ -275,10 +275,6 @@ class BigradedForm:
             vec[frame.mono_index(*bid)[mono]] = c
         return cls.from_components(frame, {k: tuple(v) for k, v in grouped.items()})
 
-    @classmethod
-    def zero(cls, frame):
-        return cls(frame, ())
-
     def component(self, p, q):
         for bid, coeffs in self.components:
             if bid == (p, q):

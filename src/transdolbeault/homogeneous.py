@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .acs import AlmostComplexStructure
+from .acs import AlmostComplexStructure, nijenhuis, nijenhuis_image
 from .cohomology import transverse_structure_report
 from .errors import PreconditionError, ShapeError
-from .lie import LieAlgebra, bracket, subalgebra_report
+from .flag import closure_witness
+from .lie import LieAlgebra, bracket, bracket_escape, subalgebra_report
 from .linalg import Subspace, basis_vector, mat_vec, sub_vectors, subspace_sum
 from .scalars import GaussianRational
 
@@ -61,16 +62,12 @@ def validate_pair(pair):
     algebra, h, J = pair.algebra, pair.h, pair.acs.J
     n = algebra.dim
     violations = []
-    for u, v in combinations(h.basis, 2):
-        w = bracket(algebra, u, v)
-        if not h.contains(w):
-            violations.append(("h is not a subalgebra", (u, v, w)))
-            break
-    for row in h.basis:
-        jr = mat_vec(J, row)
-        if not h.contains(jr):
-            violations.append(("J does not preserve h", (row, jr)))
-            break
+    escape = bracket_escape(algebra, h)
+    if escape is not None:
+        violations.append(("h is not a subalgebra", escape))
+    moved = closure_witness(algebra, pair.acs, h, ("j_stable",))
+    if moved is not None:
+        violations.append(("J does not preserve h", (moved["vector"], moved["image"])))
     if (n - h.rank) % 2:
         violations.append(("dim g - dim h is odd", (n, h.rank)))
     for a in range(n):
@@ -107,16 +104,6 @@ def invariance_check(pair):
     return {"invariant": True, "witness": None}
 
 
-def _nijenhuis_g(algebra, J, x, y):
-    # the Lie-group normalization: J^2 term replaced by -[x,y] (J^2 = -Id only mod h)
-    jx, jy = mat_vec(J, x), mat_vec(J, y)
-    out = bracket(algebra, jx, jy)
-    out = sub_vectors(out, mat_vec(J, bracket(algebra, jx, y)))
-    out = sub_vectors(out, mat_vec(J, bracket(algebra, x, jy)))
-    out = sub_vectors(out, bracket(algebra, x, y))
-    return out
-
-
 def base_nijenhuis(pair, a, b):
     """N^J(a,b) reduced mod h: the canonical coset representative.
 
@@ -125,22 +112,9 @@ def base_nijenhuis(pair, a, b):
     computations agree as returned.
     """
     _require_valid(pair)
-    n = pair.algebra.dim
-    if len(a) != n or len(b) != n:
-        raise ShapeError(f"vectors must have length {n}")
     a = tuple(GaussianRational.of(c) for c in a)
     b = tuple(GaussianRational.of(c) for c in b)
-    return pair.h.reduce(_nijenhuis_g(pair.algebra, pair.acs.J, a, b))
-
-
-def _image_n(pair):
-    algebra, J = pair.algebra, pair.acs.J
-    n = algebra.dim
-    vals = [
-        _nijenhuis_g(algebra, J, basis_vector(n, i), basis_vector(n, j))
-        for i, j in combinations(range(n), 2)
-    ]
-    return Subspace.from_rows(n, vals)
+    return pair.h.reduce(nijenhuis(pair.algebra, pair.acs, a, b))
 
 
 def minimal_homogeneous_check(pair):
@@ -151,13 +125,12 @@ def minimal_homogeneous_check(pair):
     _require_valid(pair)
     algebra, J = pair.algebra, pair.acs.J
     n = algebra.dim
-    image = _image_n(pair)
-    target = subspace_sum(image, pair.h)
+    target = subspace_sum(nijenhuis_image(algebra, pair.acs), pair.h)
     if subalgebra_report(algebra, target).is_ideal:
         return {"holds": True, "witness": None, "via_ideal_shortcut": True}
     nvals = {}
     for i, j in combinations(range(n), 2):
-        w = _nijenhuis_g(algebra, J, basis_vector(n, i), basis_vector(n, j))
+        w = nijenhuis(algebra, pair.acs, basis_vector(n, i), basis_vector(n, j))
         if any(w):
             nvals[(i, j)] = w
     for a in range(n):
@@ -186,7 +159,7 @@ def fibration_report(pair):
     if not check["holds"]:
         return {"applicable": False, "reason": "minimality criterion fails", "witness": check["witness"]}
     algebra = pair.algebra
-    image = _image_n(pair)
+    image = nijenhuis_image(algebra, pair.acs)
     target = subspace_sum(image, pair.h)
     dim_mod_h = target.rank - pair.h.rank
     closure = subalgebra_report(algebra, target)
@@ -197,7 +170,7 @@ def fibration_report(pair):
         via_dim2 = False
         fibers_complex = True
         for u, v in combinations(image.basis, 2):
-            w = _nijenhuis_g(algebra, pair.acs.J, u, v)
+            w = nijenhuis(algebra, pair.acs, u, v)
             if not pair.h.contains(w):
                 fibers_complex = False
                 break

@@ -21,6 +21,7 @@ __all__ = [
     "SubalgebraReport",
     "validate_lie_algebra",
     "bracket",
+    "bracket_escape",
     "subalgebra_report",
 ]
 
@@ -136,17 +137,6 @@ def validate_lie_algebra(algebra):
     return JacobiReport(tuple(violations))
 
 
-def require_valid(algebra):
-    report = validate_lie_algebra(algebra)
-    if not report.valid:
-        (i, j, k), defect = report.violations[0]
-        raise ValidationError(
-            f"Jacobi identity fails on basis triple ({i},{j},{k}); "
-            f"cyclic sum = {tuple(str(c) for c in defect)}"
-        )
-    return algebra
-
-
 @dataclass(frozen=True)
 class SubalgebraReport:
     is_subalgebra: bool
@@ -155,17 +145,21 @@ class SubalgebraReport:
     ideal_witness: tuple | None  # (basis index, v, [e_i, v]) escaping V
 
 
+def bracket_escape(algebra, sub):
+    """The first basis pair (u, v, [u,v]) of sub whose bracket leaves sub, or None."""
+    for u, v in combinations(sub.basis, 2):
+        w = bracket(algebra, u, v)
+        if not sub.contains(w):
+            return u, v, w
+    return None
+
+
 def subalgebra_report(algebra, subspace):
     """Bracket-closure of a subspace: [V,V] ⊆ V and [g,V] ⊆ V on basis pairs."""
     n = algebra.dim
     if subspace.ambient_dim != n:
         raise ShapeError("subspace ambient dimension must equal the algebra dimension")
-    sub_witness = None
-    for u, v in combinations(subspace.basis, 2):
-        w = bracket(algebra, u, v)
-        if not subspace.contains(w):
-            sub_witness = (u, v, w)
-            break
+    sub_witness = bracket_escape(algebra, subspace)
     ideal_witness = None
     for i in range(n):
         ei = basis_vector(n, i)

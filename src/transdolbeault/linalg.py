@@ -31,7 +31,6 @@ __all__ = [
     "identity_matrix",
     "sparse_rows",
     "combine_rows",
-    "zero_matrix",
     "mat_inverse",
     "mat_rank",
     "rref",
@@ -123,10 +122,6 @@ def transpose(m):
 
 def identity_matrix(n):
     return tuple(basis_vector(n, i) for i in range(n))
-
-
-def zero_matrix(nrows, ncols):
-    return ((ZERO,) * ncols,) * nrows
 
 
 def mat_rank(m):
@@ -281,9 +276,6 @@ class Subspace:
 
     def is_zero(self):
         return not self.basis
-
-    def is_full(self):
-        return len(self.basis) == self.ambient_dim
 
 
 def rref(rows):

@@ -29,9 +29,6 @@ __all__ = [
     "entry_to_dict",
     "scalar_to_json",
     "scalar_from_json",
-    "vector_to_json",
-    "matrix_to_row_major",
-    "table_to_json",
     "dumps_canonical",
 ]
 
@@ -50,12 +47,13 @@ def scalar_from_json(v):
         raise SchemaError(f"bad scalar {v!r}: {exc}") from exc
 
 
-def vector_to_json(v):
-    return [scalar_to_json(c) for c in v]
-
-
-def matrix_to_row_major(m):
-    return [scalar_to_json(c) for row in m for c in row]
+def _json_int(value, what):
+    """A JSON integer; a number with an integral value (2.0, 1e300) is read as one."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _real_from_str(s):
@@ -83,10 +81,9 @@ def parse_entry(doc, validate=True):
     """
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
-    try:
-        n = int(doc["dim"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: inf
-        raise SchemaError(f"missing or bad 'dim': {exc}") from exc
+    if "dim" not in doc:
+        raise SchemaError("missing 'dim'")
+    n = _json_int(doc["dim"], "'dim'")
     if n <= 0:
         raise SchemaError(f"'dim' must be a positive integer, got {n}")
     # J is checked first: its length bounds dim before anything of size dim is built.
@@ -107,7 +104,7 @@ def parse_entry(doc, validate=True):
     table = {}
     for item in brackets:
         try:
-            i, j = int(item["i"]) - 1, int(item["j"]) - 1
+            i, j = (_json_int(item[key], f"bracket {key!r}") - 1 for key in ("i", "j"))
             coeffs = {
                 int(k) - 1: _real_from_str(v) for k, v in item.get("coeffs", {}).items()
             }
@@ -174,11 +171,6 @@ def entry_to_dict(algebra, acs, h=None, expected=None):
     if expected is not None:
         doc["expected"] = expected
     return doc
-
-
-def table_to_json(table):
-    """Cohomology dims keyed "p,q" with integer values."""
-    return {f"{p},{q}": d for (p, q), d in table.dims}
 
 
 def form_to_json(form):

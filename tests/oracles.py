@@ -7,6 +7,7 @@ are computed by local elimination routines. The elimination oracles
 (oracle_rank, oracle_rref, oracle_kernel, oracle_solve,
 oracle_quotient_representatives, oracle_reduce) use nothing from
 transdolbeault.linalg; oracle_transverse_module eliminates with them.
+oracle_nijenhuis uses nothing from transdolbeault.acs.
 """
 
 from itertools import combinations, permutations
@@ -30,6 +31,22 @@ def mat_vec(m, v):
             acc = acc + a * b
         out.append(acc)
     return tuple(out)
+
+
+def oracle_nijenhuis(algebra, J, x, y):
+    """[Jx,Jy] - J[Jx,y] - J[x,Jy] + J^2[x,y], with J applied by the local dense mat_vec.
+
+    The J^2 term is kept as written: it equals -[x,y] exactly when J^2 = -Id,
+    and modulo h when J^2 = -Id only mod h.
+    """
+    jx, jy = mat_vec(J, x), mat_vec(J, y)
+    terms = (
+        bracket(algebra, jx, jy),
+        tuple(-c for c in mat_vec(J, bracket(algebra, jx, y))),
+        tuple(-c for c in mat_vec(J, bracket(algebra, x, jy))),
+        mat_vec(J, mat_vec(J, bracket(algebra, x, y))),
+    )
+    return tuple(sum(cs, ZERO) for cs in zip(*terms))
 
 
 def oracle_rank(rows):

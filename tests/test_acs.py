@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import instance_pool
+from oracles import oracle_nijenhuis
 from transdolbeault.acs import (
     AlmostComplexStructure,
     lie_derivative_endo,
@@ -118,6 +120,16 @@ def test_nijenhuis_kt_values(kt):
     assert nijenhuis(L, acs, e[2], e[1]) == scale_vector(
         -1, mat_vec(acs.J, nijenhuis(L, acs, e[0], e[1]))
     )
+
+
+def test_nijenhuis_matches_oracle_on_pool():
+    rng = random.Random(23)
+    for algebra, acs, _ in instance_pool(21, start_seed=300):
+        n = algebra.dim
+        pairs = [(basis_vector(n, i), basis_vector(n, j)) for i in range(n) for j in range(i + 1, n)]
+        pairs += [(rand_vec(rng, n), rand_vec(rng, n)) for _ in range(3)]
+        for x, y in pairs:
+            assert nijenhuis(algebra, acs, x, y) == oracle_nijenhuis(algebra, acs.J, x, y)
 
 
 def test_nijenhuis_symmetries_randomized(strict_entries):

@@ -96,6 +96,18 @@ def test_max_degree_filter():
     assert set(doc["tables"]["trans"]) == {"0,0", "0,1", "1,0"}
 
 
+def test_homogeneous_json_golden():
+    """`homogeneous --format json` on every catalog entry, unseeded and at seeds 0-2."""
+    from pathlib import Path
+
+    golden = json.loads((Path(__file__).parent / "golden_homogeneous.json").read_text())
+    for key, doc in golden.items():
+        name, *opts = key.split()
+        kw = {k: int(v) for k, v in (o.split("=") for o in opts)}
+        status, out = execute(RunConfig("homogeneous", catalog=name, fmt="json", **kw))
+        assert (status, out) == (0, dumps_canonical(doc) + "\n"), key
+
+
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["classify", "--catalog", "kodaira_thurston"]) == 0
     assert main(["classify", "--catalog", "does_not_exist"]) == 3
@@ -151,6 +163,11 @@ def test_schema_errors(tmp_path):
         {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": 5}], "J": j_std},
         {"dim": 1e999, "J": j_std},
         {"dim": 1e300, "J": ["0"], "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]},
+        # dim, i and j are integers: no truncation, no booleans
+        {"dim": 2.7, "J": j_std},
+        {"dim": True, "J": ["0"]},
+        {"dim": 2, "brackets": [{"i": 1.5, "j": 2, "coeffs": {}}], "J": j_std},
+        {"dim": 2, "brackets": [{"i": True, "j": 2, "coeffs": {}}], "J": j_std},
     )
     for i, doc in enumerate(bad_docs):
         with pytest.raises(SchemaError):
@@ -163,6 +180,16 @@ def test_schema_errors(tmp_path):
         path = tmp_path / f"raw{i}.json"
         path.write_text(text)
         assert main(["report", "--input", str(path)]) == 3
+
+
+def test_strict_commands_reject_a_stabilizer(capsys):
+    for command in ("classify", "flag", "cohomology", "report"):
+        assert main([command, "--catalog", "su2_mod_u1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"validation error: {command} expects a strict structure; use the homogeneous command\n"
+        )
 
 
 def test_derived_flag_failure_exits_2_without_traceback(monkeypatch, capsys):

@@ -168,6 +168,28 @@ def test_transverse_structure_report_on_limits(strict_entries):
         assert transverse_structure_report(entry.algebra, entry.acs, dist).ok
 
 
+def test_transverse_structure_report_witnesses(kt):
+    """One subspace per failure kind on KT ([e0,e1] = e2, J e0 = e2, J e1 = e3): exact witness, one False flag."""
+    L, acs = kt.algebra, kt.acs
+    e = [basis_vector(4, i) for i in range(4)]
+    cases = [
+        (Subspace.from_rows(4, [e[0]]), "j_stable",
+         {"kind": "j_stable", "vector": e[0], "image": e[2]}),
+        (Subspace.from_rows(4, [as_vector([1, 0, 0, 1]), as_vector([0, -1, 1, 0])]), "involutive",
+         {"kind": "bracket", "u": as_vector([1, 0, 0, 1]), "v": as_vector([0, 1, -1, 0]), "value": e[2]}),
+        (Subspace.from_rows(4, [e[1], acs.apply(e[1])]), "lie_images_contained",
+         {"kind": "lie_derivative", "u": e[1], "value": e[0]}),
+        (Subspace.zero(4), "contains_nijenhuis_image",
+         {"kind": "nijenhuis_image", "value": e[0]}),
+    ]
+    flags = ("j_stable", "involutive", "lie_images_contained", "contains_nijenhuis_image")
+    for dist, failing, witness in cases:
+        report = transverse_structure_report(L, acs, dist)
+        assert report.witness == witness
+        assert {f: getattr(report, f) for f in flags} == {f: f != failing for f in flags}
+        assert not report.ok
+
+
 # -- mu_bar cohomology ---------------------------------------------------------------
 
 def test_mu_bar_integrable_degenerates(iwasawa):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import instance_pool
+from oracles import oracle_nijenhuis
 from transdolbeault.acs import AlmostComplexStructure, nijenhuis
 from transdolbeault.catalog import catalog_get, random_acs
 from transdolbeault.errors import PreconditionError
@@ -101,6 +102,26 @@ def test_base_nijenhuis_well_defined_mod_h(su2):
         h1 = scale_vector(rng.randint(-2, 2), pair.h.basis[0])
         h2 = scale_vector(rng.randint(-2, 2), pair.h.basis[0])
         assert base_nijenhuis(pair, add_vectors(a, h1), add_vectors(b, h2)) == base
+
+
+def test_base_nijenhuis_matches_oracle_mod_h(su2):
+    """The J^2 oracle agrees mod h, where J^2 = -Id holds only mod h (su2) or exactly (h = 0)."""
+    pairs = [_pair(su2)]
+    for algebra, acs, _ in instance_pool(14, start_seed=500):
+        pairs.append(HomogeneousPair.lie_group(
+            algebra, AlmostComplexStructure(acs.J, mod_h=Subspace.zero(algebra.dim))
+        ))
+    rng = random.Random(8)
+    for pair in pairs:
+        n = pair.algebra.dim
+        vecs = [(basis_vector(n, i), basis_vector(n, j)) for i in range(n) for j in range(i + 1, n)]
+        vecs += [
+            (as_vector([rng.randint(-3, 3) for _ in range(n)]), as_vector([rng.randint(-3, 3) for _ in range(n)]))
+            for _ in range(3)
+        ]
+        for a, b in vecs:
+            expected = pair.h.reduce(oracle_nijenhuis(pair.algebra, pair.acs.J, a, b))
+            assert base_nijenhuis(pair, a, b) == expected
 
 
 def test_nijenhuis_j_twist_mod_h(su2, kt):
