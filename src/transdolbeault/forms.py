@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from .acs import split_10_01
 from .errors import ShapeError, TheoremViolationError
@@ -464,38 +465,62 @@ class D2Report:
 def verify_d2_relations(algebra, acs):
     """Check the seven component identities equivalent to d∘d = 0, block by block.
 
-    Each composite block is summed over the nonzero entries of its two
-    factors only.
+    The check runs in Gaussian integers. Let L be the lcm of the re and im
+    denominators of the nonzero entries of every block; each block is stored
+    once as sparse rows of (column, L·re, L·im) ints, so L·A is integral for
+    every block A. A composite B·A then becomes (L·B)(L·A) = L²·(B·A), and a
+    relation ΣB_t·A_t vanishes over Q(i) exactly when its L²-multiple
+    vanishes in Z[i]: no Fraction is formed, and each sum is over the
+    nonzero entries of its two factors only.
     """
     ops = component_operators(algebra, acs)
     frame = bigraded_frame(algebra, acs)
-    sparse = {}
-
-    def nonzeros(name, p, q):
-        """Rows of the block as [(column, value)] lists; None when out of range."""
-        key = (name, p, q)
-        if key not in sparse:
+    # rows[(name, p, q)]: each row's nonzero (column, entry) pairs, rewritten
+    # in place below as (column, L·re, L·im) once L is known; a block with no
+    # nonzero entry is left out, as it adds nothing to any composite
+    rows = {}
+    for name in SHIFTS:
+        for p, q in frame.bidegrees():
             block = ops[name].block(p, q)
-            sparse[key] = None if block is None else [
-                [(j, x) for j, x in enumerate(row) if x] for row in block
+            if block is not None:
+                nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in block]
+                if any(nonzeros):
+                    rows[(name, p, q)] = nonzeros
+    scale = lcm(*{
+        f.denominator
+        for block in rows.values() for row in block for _, x in row for f in (x.re, x.im)
+    })
+    for block in rows.values():
+        for row in block:
+            row[:] = [
+                (j, x.re.numerator * (scale // x.re.denominator),
+                 x.im.numerator * (scale // x.im.denominator))
+                for j, x in row
             ]
-        return sparse[key]
+
+    def row_nonzero(pairs, r):
+        """Whether row r of Σ outer·inner is nonzero. Every term of one relation
+        has the same total shift, so row r of each outer block is the same
+        target monomial."""
+        acc_re, acc_im = {}, {}
+        for outer, inner in pairs:
+            for k, ar, ai in outer[r]:
+                for j, br, bi in inner[k]:
+                    acc_re[j] = acc_re.get(j, 0) + ar * br - ai * bi
+                    acc_im[j] = acc_im.get(j, 0) + ar * bi + ai * br
+        return any(acc_re.values()) or any(acc_im.values())
 
     failures = []
     for name, terms in _D2_RELATIONS:
         for p, q in frame.bidegrees():
-            acc = {}
+            pairs = []
             for outer, inner in terms:
-                bi = nonzeros(inner, p, q)
-                bo = nonzeros(outer, p + SHIFTS[inner][0], q + SHIFTS[inner][1])
-                if not bi or not bo:
-                    continue
-                for r, orow in enumerate(bo):
-                    for k, a in orow:
-                        for j, b in bi[k]:
-                            key = (r, j)
-                            acc[key] = acc[key] + a * b if key in acc else a * b
-            if any(acc.values()):
+                dp, dq = SHIFTS[inner]
+                a = rows.get((inner, p, q))
+                b = rows.get((outer, p + dp, q + dq))
+                if a and b:
+                    pairs.append((b, a))
+            if pairs and any(row_nonzero(pairs, r) for r in range(len(pairs[0][0]))):
                 failures.append((name, (p, q)))
     return D2Report(tuple(failures))
 

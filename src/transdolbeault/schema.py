@@ -14,6 +14,7 @@ An input document looks like
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .acs import AlmostComplexStructure
@@ -54,6 +55,14 @@ def _json_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _coeff_index(key):
+    """0-based index of a bracket coefficient key: a canonical ASCII decimal
+    ("3", not " 3", "+3", "03", "3_0" or a non-ASCII digit)."""
+    if not (isinstance(key, str) and re.fullmatch("0|[1-9][0-9]*", key)):
+        raise SchemaError(f"coefficient key must be a decimal basis index, got {key!r}")
+    return int(key) - 1
 
 
 def _real_from_str(s):
@@ -106,7 +115,7 @@ def parse_entry(doc, validate=True):
         try:
             i, j = (_json_int(item[key], f"bracket {key!r}") - 1 for key in ("i", "j"))
             coeffs = {
-                int(k) - 1: _real_from_str(v) for k, v in item.get("coeffs", {}).items()
+                _coeff_index(k): _real_from_str(v) for k, v in item.get("coeffs", {}).items()
             }
         except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
             # AttributeError: 'coeffs' (or the entry) is not an object

@@ -7,7 +7,8 @@ are computed by local elimination routines. The elimination oracles
 (oracle_rank, oracle_rref, oracle_kernel, oracle_solve,
 oracle_quotient_representatives, oracle_reduce) use nothing from
 transdolbeault.linalg; oracle_transverse_module eliminates with them.
-oracle_nijenhuis uses nothing from transdolbeault.acs.
+oracle_nijenhuis uses nothing from transdolbeault.acs, and oracle_d2_failures
+nothing from transdolbeault.forms.
 """
 
 from itertools import combinations, permutations
@@ -409,3 +410,48 @@ def module_closure_properties(algebra, acs, module):
             if joint.rank != graded_dim:
                 splits = False
     return annihilates, d_stable, splits
+
+
+# The seven component identities of d∘d = 0 as (name, ((outer, inner), ...)),
+# and the bidegree shift of each component; written out here, not imported.
+_ORACLE_SHIFTS = {"mu": (2, -1), "del": (1, 0), "del_bar": (0, 1), "mu_bar": (-1, 2)}
+_ORACLE_D2_RELATIONS = (
+    ("mu_bar mu_bar = 0", (("mu_bar", "mu_bar"),)),
+    ("mu_bar del_bar + del_bar mu_bar = 0", (("mu_bar", "del_bar"), ("del_bar", "mu_bar"))),
+    ("mu_bar del + del mu_bar + del_bar del_bar = 0",
+     (("mu_bar", "del"), ("del", "mu_bar"), ("del_bar", "del_bar"))),
+    ("mu mu_bar + mu_bar mu + del del_bar + del_bar del = 0",
+     (("mu", "mu_bar"), ("mu_bar", "mu"), ("del", "del_bar"), ("del_bar", "del"))),
+    ("mu del_bar + del_bar mu + del del = 0", (("mu", "del_bar"), ("del_bar", "mu"), ("del", "del"))),
+    ("mu del + del mu = 0", (("mu", "del"), ("del", "mu"))),
+    ("mu mu = 0", (("mu", "mu"),)),
+)
+
+
+def oracle_d2_failures(blocks_by_name):
+    """(relation name, source bidegree) of every d² identity whose composite is nonzero.
+
+    blocks_by_name maps each component name to {(p, q): matrix}; a composite
+    outer·inner is the GaussianRational product of the dense matrices
+    (zero factors skipped), and each relation's products are summed
+    entrywise. Bidegrees are visited in sorted order within each relation.
+    """
+    failures = []
+    for name, terms in _ORACLE_D2_RELATIONS:
+        for p, q in sorted(set().union(*(blocks.keys() for blocks in blocks_by_name.values()))):
+            total = {}
+            for outer, inner in terms:
+                dp, dq = _ORACLE_SHIFTS[inner]
+                a = blocks_by_name[inner].get((p, q))
+                b = blocks_by_name[outer].get((p + dp, q + dq))
+                if a is None or b is None:
+                    continue
+                for r, brow in enumerate(b):
+                    for k, x in enumerate(brow):
+                        if x:
+                            for j, y in enumerate(a[k]):
+                                if y:
+                                    total[(r, j)] = total.get((r, j), ZERO) + x * y
+            if any(total.values()):
+                failures.append((name, (p, q)))
+    return tuple(failures)

@@ -169,6 +169,11 @@ def test_schema_errors(tmp_path):
         {"dim": 2, "brackets": [{"i": 1.5, "j": 2, "coeffs": {}}], "J": j_std},
         {"dim": 2, "brackets": [{"i": True, "j": 2, "coeffs": {}}], "J": j_std},
     )
+    # coefficient keys are canonical ASCII decimals; all but "" were once read as e3 or e30
+    bad_docs += tuple(
+        {"dim": 4, "brackets": [{"i": 1, "j": 2, "coeffs": {key: "1"}}], "J": _J_STANDARD[4]}
+        for key in (" 3", "+3", "\u0663", "03", "3 ", "3_0", "3\n", "")
+    )
     for i, doc in enumerate(bad_docs):
         with pytest.raises(SchemaError):
             parse_entry(doc)
@@ -180,6 +185,24 @@ def test_schema_errors(tmp_path):
         path = tmp_path / f"raw{i}.json"
         path.write_text(text)
         assert main(["report", "--input", str(path)]) == 3
+
+
+def test_canonical_coefficient_keys_parse():
+    """The shipped catalog data and entry_to_dict output (keys up to "12") still parse."""
+    from transdolbeault.acs import AlmostComplexStructure
+    from transdolbeault.catalog import catalog_get, catalog_names, standard_j
+    from transdolbeault.lie import LieAlgebra
+
+    pairs = []
+    for name in catalog_names():
+        entry = catalog_get(name, n=2 if name == "abelian2n" else None)
+        pairs.append((entry.algebra, entry.acs, entry.h))
+    filiform12 = LieAlgebra.from_brackets(12, {(0, i): {i + 1: 1} for i in range(1, 11)})
+    pairs.append((filiform12, AlmostComplexStructure(standard_j(12)), None))
+    for algebra, acs, h in pairs:
+        parsed = parse_entry(entry_to_dict(algebra, acs, h=h))
+        assert parsed.algebra == algebra
+        assert parsed.acs == acs
 
 
 def test_strict_commands_reject_a_stabilizer(capsys):

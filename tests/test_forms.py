@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import instance_pool
-from oracles import oracle_d_real
+from oracles import oracle_d2_failures, oracle_d_real
 from transdolbeault.catalog import random_acs
 from transdolbeault.errors import ShapeError
 from transdolbeault.forms import (
     BigradedForm,
+    BigradedOperator,
     SHIFTS,
     bigrade,
     bigraded_frame,
@@ -20,7 +23,7 @@ from transdolbeault.forms import (
 )
 from transdolbeault.lie import LieAlgebra
 from transdolbeault.linalg import as_vector, basis_vector, mat_vec
-from transdolbeault.scalars import GaussianRational, I, ONE
+from transdolbeault.scalars import GaussianRational, I, ONE, ZERO
 
 G = GaussianRational.of
 HALF = ONE / 2
@@ -173,9 +176,17 @@ def test_conjugation_symmetry(strict_entries):
             assert ops["mu"].apply(w.conjugate()) == ops["mu_bar"].apply(w).conjugate()
 
 
+def _blocks_by_name(ops):
+    return {name: dict(op.blocks) for name, op in ops.items()}
+
+
 def test_d2_relations_catalog(strict_entries):
-    for entry in strict_entries:
-        assert verify_d2_relations(entry.algebra, entry.acs).passed
+    """No failure on the catalog or on instance_pool, by the check and by the dense oracle."""
+    cases = [(entry.algebra, entry.acs) for entry in strict_entries]
+    cases += [(algebra, acs) for algebra, acs, _ in instance_pool(21)]
+    for algebra, acs in cases:
+        assert verify_d2_relations(algebra, acs).failures == ()
+        assert oracle_d2_failures(_blocks_by_name(component_operators(algebra, acs))) == ()
 
 
 # -- contraction and Lie derivative --------------------------------------------------
@@ -209,6 +220,58 @@ def test_d2_relations_report_a_corrupted_block(kt, monkeypatch):
     )
     assert expected
     assert verify_d2_relations(kt.algebra, kt.acs).failures == expected
+
+
+@pytest.fixture(scope="module")
+def d2_instances(kt, iwasawa):
+    """kodaira_thurston and iwasawa (small denominators) and filiform-8 under
+    random_acs(seed=0), whose block denominators have an lcm of about 20 bits."""
+    filiform8 = LieAlgebra.from_brackets(8, {(0, i): {i + 1: 1} for i in range(1, 7)})
+    return [(kt.algebra, kt.acs), (iwasawa.algebra, iwasawa.acs), (filiform8, random_acs(filiform8, 0))]
+
+
+_corruption_values = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        lambda a, b, c, d: GaussianRational(Fraction(a, b), Fraction(c, d)),
+        st.integers(-9, 9), st.integers(1, 97), st.integers(-9, 9), st.integers(1, 97),
+    ),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_d2_relations_match_dense_oracle_on_corrupted_operators(d2_instances, data):
+    """1-3 entries of real operators replaced by Gaussian rationals with new
+    denominators (so the common denominator changes) or by zero: the failures
+    equal those of a dense Q(i) product, in the same order."""
+    import transdolbeault.forms as forms_mod
+
+    algebra, acs = data.draw(st.sampled_from(d2_instances))
+    ops = component_operators(algebra, acs)
+    cells = [
+        (name, index)
+        for name, op in ops.items()
+        for index, (_, mat) in enumerate(op.blocks)
+        if mat and mat[0]
+    ]
+    blocks = {name: [list(map(list, mat)) for _, mat in op.blocks] for name, op in ops.items()}
+    for _ in range(data.draw(st.integers(1, 3))):
+        name, index = data.draw(st.sampled_from(cells))
+        mat = blocks[name][index]
+        r = data.draw(st.integers(0, len(mat) - 1))
+        c = data.draw(st.integers(0, len(mat[0]) - 1))
+        mat[r][c] = data.draw(_corruption_values)
+    corrupted = {
+        name: BigradedOperator(op.frame, op.shift, tuple(
+            (bid, tuple(map(tuple, mat))) for (bid, _), mat in zip(op.blocks, blocks[name])
+        ))
+        for name, op in ops.items()
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms_mod, "component_operators", lambda algebra, acs: corrupted)
+        failures = verify_d2_relations(algebra, acs).failures
+    assert failures == oracle_d2_failures(_blocks_by_name(corrupted))
 
 
 def test_contract_examples(kt):
