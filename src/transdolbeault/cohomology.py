@@ -1,14 +1,26 @@
-"""Transverse form modules and the three cohomology pipelines.
+"""Transverse form modules and the three cohomology tables.
 
-* transverse_dolbeault: del_bar-cohomology of forms annihilated (by contraction
-  and Lie derivative) along the involutive limit of the derived flag;
-* mu_bar_cohomology: per-bidegree subquotients Ker mu_bar / Im mu_bar;
-* generalized_dolbeault: cohomology of the map induced by del_bar on the
-  mu_bar-cohomology.
+Per bidegree (p,q) write K = Ker mu_bar and I = Im mu_bar (the image of
+Λ^{p+1,q-2}), D = del_bar, and M for the transverse module: the forms basic
+along the involutive limit of the derived flag. Every table is a sum of exact
+ranks; no quotient is presented and no representative is built.
 
-compare_p0 cross-checks the first and third pipelines in degrees (p,0); a
-mismatch is a proved impossibility and raises TheoremViolationError.
-All tables are invariant-level (constant-coefficient) dimensions.
+* mu_bar_cohomology: dim H_mu_bar = dim K - rank I.
+* generalized_dolbeault: del_bar induces tilde_{p,q} on H_mu_bar, of rank
+  rank[D·K^{p,q} mod I^{p,q+1}], and
+  dim H_cw = dim H_mu_bar - rank tilde_{p,q} - rank tilde_{p,q-1}.
+* transverse_dolbeault: dim H_trans = dim M - rank D·M^{p,q} - rank D·M^{p,q-1},
+  with the images kept in ambient coordinates.
+* comparison_map_rank: the rank of H_trans -> H_cw is
+  rank[Z ; I ; E] - rank[I ; E], where Z is the D-closed part of M^{p,q} and
+  E = D·K^{p,q-1}.
+
+The inclusions that make these formulas hold are checked on the way (I ⊆ K,
+D·K ⊆ K', D·I ⊆ I', D(D·K) ⊆ I, D² = 0 on M, d keeps M and mu, mu_bar kill
+it); each is a consequence of d² = 0, so a failure raises
+TheoremViolationError naming the bidegree. compare_p0 cross-checks the
+transverse and generalized tables in degrees (p,0). All tables are
+invariant-level (constant-coefficient) dimensions.
 """
 
 from __future__ import annotations
@@ -22,13 +34,9 @@ from .flag import closure_witness, derived_flag
 from .forms import bigraded_frame, component_operators, wedge_one_form
 from .linalg import (
     Subspace,
-    _apply_sparse,
     combine_rows,
-    induced_map_on_quotient,
     kernel,
-    quotient_representatives,
-    rref_rows,
-    solve_many_in_rows,
+    mat_rank,
     sparse_rows,
     transpose,
 )
@@ -37,7 +45,6 @@ from .scalars import ONE, ZERO
 __all__ = [
     "TransverseModule",
     "CohomologyTable",
-    "Subquotient",
     "TransverseStructureReport",
     "transverse_structure_report",
     "transverse_module",
@@ -50,29 +57,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Subquotient:
-    """sub/quot_by with deterministic echelon-complement representatives."""
-
-    sub: Subspace
-    quot_by: Subspace
-    reps: tuple
-
-    @property
-    def dim(self):
-        return len(self.reps)
-
-
-@dataclass(frozen=True)
 class CohomologyTable:
     theory: str  # trans | mu_bar | cw
     dims: tuple  # sorted (((p, q), dim), ...)
-    representatives: tuple = ()  # sorted (((p, q), (vectors...)), ...)
 
     def dim(self, p, q):
         return dict(self.dims).get((p, q), 0)
-
-    def reps(self, p, q):
-        return dict(self.representatives).get((p, q), ())
 
     def dims_dict(self):
         return dict(self.dims)
@@ -176,9 +166,38 @@ def transverse_module(algebra, acs, dist):
     return TransverseModule(dist, tuple(spaces))
 
 
+def _images(cols, nrows, vectors):
+    """The nonzero products block·v for dense v, the block given by its sparse columns."""
+    if not any(cols):
+        return []
+    images = (combine_rows(v, cols, nrows) for v in vectors)
+    return [y for y in images if any(y)]
+
+
+def _d_parts(frame, p, q, nonzeros):
+    """d of the (p,q)-form with these (index, coefficient) pairs, as {bidegree: dense vector}."""
+    monos = frame.mono_basis(p, q)
+    grouped = {}
+    for tgt, c in frame.d_flat({monos[j]: x for j, x in nonzeros}).items():
+        grouped.setdefault(frame.bidegree_of(tgt), {})[tgt] = c
+    parts = {}
+    for bid, part in grouped.items():
+        vec = [ZERO] * frame.dim(*bid)
+        index = frame.mono_index(*bid)
+        for tgt, c in part.items():
+            vec[index[tgt]] = c
+        parts[bid] = tuple(vec)
+    return parts
+
+
 @lru_cache(maxsize=None)
 def _restricted_del_bar(algebra, acs):
-    """Matrices of del_bar between transverse-module bases, with closure checks."""
+    """The transverse module M and del_bar of each basis row of M, with closure checks.
+
+    Returns (module, images): images[(p, q)] holds, for each basis row b of
+    M^{p,q}, D·b as a dense vector of Λ^{p,q+1}, or None where D·b = 0. d of
+    every basis row is checked to have no mu or mu_bar part and to stay in M.
+    """
     frame = bigraded_frame(algebra, acs)
     flag = derived_flag(algebra, acs)
     closure = transverse_structure_report(algebra, acs, flag.limit)
@@ -187,191 +206,143 @@ def _restricted_del_bar(algebra, acs):
             f"derived-flag limit lost transverse closure: {closure.witness}"
         )
     module = transverse_module(algebra, acs, flag.limit)
-    restricted = {}
+    images = {}
     for p, q in frame.bidegrees():
-        space = module.space(p, q)
-        cod = module.space(p, q + 1) if q + 1 <= frame.m else None
-        cols = []
-        for vec in space.basis:
-            flat = {
-                mono: c for mono, c in zip(frame.mono_basis(p, q), vec) if c
-            }
-            image = frame.d_flat(flat)
-            grouped = {}
-            for tgt, c in image.items():
-                bid = frame.bidegree_of(tgt)
-                grouped.setdefault(bid, {})[tgt] = c
-            for bid, part in grouped.items():
-                shift = (bid[0] - p, bid[1] - q)
-                pvec = [ZERO] * frame.dim(*bid)
-                index = frame.mono_index(*bid)
-                for tgt, c in part.items():
-                    pvec[index[tgt]] = c
-                pvec = tuple(pvec)
-                if shift in ((2, -1), (-1, 2)):
+        out = []
+        for row in module.space(p, q).sparse_basis:
+            parts = _d_parts(frame, p, q, row)
+            for bid, part in parts.items():
+                if (bid[0] - p, bid[1] - q) in ((2, -1), (-1, 2)):
                     raise TheoremViolationError(
                         f"mu/mu_bar acted nontrivially on a transverse ({p},{q})-form"
                     )
-                tgt_space = module.space(*bid)
-                if not tgt_space.contains(pvec):
+                if not module.space(*bid).contains(part):
                     raise TheoremViolationError(
                         f"d left the transverse module at bidegree {bid}"
                     )
-            dbar_bid = (p, q + 1)
-            pvec = [ZERO] * (frame.dim(*dbar_bid) if cod is not None else 0)
-            if cod is not None and dbar_bid in grouped:
-                index = frame.mono_index(*dbar_bid)
-                for tgt, c in grouped[dbar_bid].items():
-                    pvec[index[tgt]] = c
-            cols.append(tuple(pvec))
-        if cod is not None:
-            mat_cols = solve_many_in_rows(cod.basis, cols)
-            if any(coeffs is None for coeffs in mat_cols):
-                raise TheoremViolationError("restricted del_bar image escaped the module")
-            mat = transpose(mat_cols) if mat_cols else tuple(() for _ in cod.basis)
-        else:
-            mat = ()
-        restricted[(p, q)] = mat
-    return module, restricted
-
-
-def _two_term_cohomology(incoming_cols, outgoing, space):
-    """ker(outgoing)/im(incoming) inside the Subspace space.
-
-    outgoing: matrix in the coordinates of space.basis; incoming_cols:
-    ambient image vectors. Returns (dim, reps in ambient coordinates).
-    """
-    if space.is_zero():
-        return 0, ()
-    ambient = space.ambient_dim
-    ker_coeffs = kernel(outgoing, ncols=space.rank)
-    ker_vectors = [
-        combine_rows(coeffs, space.sparse_basis, ambient) for coeffs in ker_coeffs.basis
-    ]
-    ker_sub = Subspace.from_rows(ambient, ker_vectors)
-    im_sub = Subspace.from_rows(ambient, incoming_cols)
-    if not ker_sub.contains_subspace(im_sub):
-        raise TheoremViolationError("image is not contained in kernel")
-    reps = quotient_representatives(ker_sub, im_sub)
-    return len(reps), reps
+            out.append(parts.get((p, q + 1)))
+        images[(p, q)] = tuple(out)
+    return module, images
 
 
 @lru_cache(maxsize=None)
 def transverse_dolbeault(algebra, acs):
     """Invariant transverse Dolbeault table for the derived-flag limit."""
     frame = bigraded_frame(algebra, acs)
-    module, restricted = _restricted_del_bar(algebra, acs)
-    dims = []
-    reps_all = []
-    for p, q in frame.bidegrees():
-        space = module.space(p, q)
-        ambient = frame.dim(p, q)
-        incoming = []
-        if q >= 1:
-            prev = module.space(p, q - 1)
-            mat = restricted[(p, q - 1)]
-            for j in range(len(prev.basis)):
-                col = tuple(mat[i][j] for i in range(len(mat)))
-                incoming.append(combine_rows(col, space.sparse_basis, ambient))
-        dim, reps = _two_term_cohomology(incoming, restricted[(p, q)], space)
-        dims.append(((p, q), dim))
-        reps_all.append(((p, q), reps))
-    return CohomologyTable("trans", tuple(dims), tuple(reps_all))
+    module, images = _restricted_del_bar(algebra, acs)
+    ranks = {}
+    for (p, q), column in images.items():
+        exact = [y for y in column if y is not None]
+        for y in exact:  # D·M^{p,q} lies in M^{p,q+1}, where D must vanish on it
+            nonzeros = ((j, x) for j, x in enumerate(y) if x)
+            if (p, q + 2) in _d_parts(frame, p, q + 1, nonzeros):
+                raise TheoremViolationError(
+                    "del_bar does not square to zero on the transverse module "
+                    f"at bidegree {(p, q)}"
+                )
+        ranks[(p, q)] = mat_rank(exact)
+    dims = tuple(
+        ((p, q), module.space(p, q).rank - ranks[(p, q)] - ranks.get((p, q - 1), 0))
+        for p, q in frame.bidegrees()
+    )
+    return CohomologyTable("trans", dims)
 
 
 @lru_cache(maxsize=None)
 def _mu_bar_presentations(algebra, acs):
+    """{(p, q): (K, I)}: Ker mu_bar and Im mu_bar in Λ^{p,q}, with I ⊆ K checked."""
     frame = bigraded_frame(algebra, acs)
-    ops = component_operators(algebra, acs)
-    mu_bar = ops["mu_bar"]
-    out = {}
+    mu_bar = component_operators(algebra, acs)["mu_bar"]
+    kernels, images = {}, {}
     for p, q in frame.bidegrees():
         dim = frame.dim(p, q)
         block = mu_bar.block(p, q)
-        ker = kernel(block if block else (), ncols=dim)
-        src = mu_bar.block(p + 1, q - 2)
-        if src and frame.dim(p + 1, q - 2):
-            img = Subspace.from_rows(dim, transpose(src))
-        else:
-            img = Subspace.zero(dim)
+        nonzero = [col for col in transpose(block) if any(col)]
+        kernels[(p, q)] = kernel(block, ncols=dim) if nonzero else Subspace.full(dim)
+        if nonzero:
+            images[(p - 1, q + 2)] = Subspace.from_rows(frame.dim(p - 1, q + 2), nonzero)
+    out = {}
+    for p, q in frame.bidegrees():
+        ker = kernels[(p, q)]
+        img = images.get((p, q), Subspace.zero(ker.ambient_dim))
         if not ker.contains_subspace(img):
-            raise TheoremViolationError("Im mu_bar escaped Ker mu_bar (mu_bar^2 != 0)")
-        out[(p, q)] = Subquotient(ker, img, quotient_representatives(ker, img))
+            raise TheoremViolationError(
+                f"Im mu_bar escaped Ker mu_bar at bidegree {(p, q)} (mu_bar^2 != 0)"
+            )
+        out[(p, q)] = (ker, img)
     return out
 
 
 @lru_cache(maxsize=None)
 def mu_bar_cohomology(algebra, acs):
-    """Ker mu_bar / Im mu_bar per bidegree, with subquotient presentations."""
+    """dim Ker mu_bar - rank Im mu_bar per bidegree."""
     frame = bigraded_frame(algebra, acs)
     pres = _mu_bar_presentations(algebra, acs)
-    dims = tuple(((p, q), pres[(p, q)].dim) for p, q in frame.bidegrees())
-    reps = tuple(((p, q), pres[(p, q)].reps) for p, q in frame.bidegrees())
-    return CohomologyTable("mu_bar", dims, reps)
-
-
-def _nonzero_rows(matrix):
-    """The nonzero rows of an induced matrix as sparse rows, for _apply_sparse."""
-    return [row for row in sparse_rows(matrix) if row]
+    dims = tuple(
+        ((p, q), pres[(p, q)][0].rank - pres[(p, q)][1].rank) for p, q in frame.bidegrees()
+    )
+    return CohomologyTable("mu_bar", dims)
 
 
 @lru_cache(maxsize=None)
 def _cw_pipeline(algebra, acs):
-    """Induced del_bar on mu_bar-cohomology and its two-term cohomology data."""
+    """Rank of each tilde_{p,q} : H_mu_bar^{p,q} -> H_mu_bar^{p,q+1}, with its checks.
+
+    Returns (pres, ranks, images): pres from _mu_bar_presentations,
+    ranks[(p, q)] = rank[D·K^{p,q} mod I^{p,q+1}] and images[(p, q)] the
+    nonzero vectors of D·K^{p,q} in Λ^{p,q+1}. D·K ⊆ K' and D·I ⊆ I' make
+    tilde well defined, and D(D·K) ⊆ I makes it square to zero; all three
+    follow from d² = 0.
+    """
     frame = bigraded_frame(algebra, acs)
-    ops = component_operators(algebra, acs)
-    del_bar = ops["del_bar"]
+    del_bar = component_operators(algebra, acs)["del_bar"]
     pres = _mu_bar_presentations(algebra, acs)
-    trivial = Subquotient(Subspace.zero(0), Subspace.zero(0), ())
-    tilde = {}
+    cols = {
+        (p, q): sparse_rows(transpose(del_bar.block(p, q)))
+        for p, q in frame.bidegrees() if q < frame.m
+    }
+    ranks, images = {}, {}
     for p, q in frame.bidegrees():
-        dom = pres[(p, q)]
-        cod = pres.get((p, q + 1), trivial)
-        f = del_bar.block(p, q)
-        if f is None or q + 1 > frame.m:
-            f = ()
-            cod = trivial
-        tilde[(p, q)] = induced_map_on_quotient(f, dom.sub, dom.quot_by, cod.sub, cod.quot_by)
-    # tilde^2 = 0 block by block (forced by mu_bar del + del mu_bar + del_bar^2 = 0)
-    for p, q in frame.bidegrees():
-        if q + 1 > frame.m:
+        if q == frame.m:
+            ranks[(p, q)], images[(p, q)] = 0, ()
             continue
-        first, second = tilde[(p, q)], tilde[(p, q + 1)]
-        nonzero = _nonzero_rows(second.matrix)
-        if not nonzero:
-            continue
-        ncols = len(second.matrix[0])
-        for col in transpose(first.matrix) if first.matrix else ():
-            if any(_apply_sparse(nonzero, ncols, col)):
-                raise TheoremViolationError("induced del_bar does not square to zero")
-    dol = {}
+        ker, img = pres[(p, q)]
+        ker_next, img_next = pres[(p, q + 1)]
+        nrows = frame.dim(p, q + 1)
+        dk = _images(cols[(p, q)], nrows, ker.basis)
+        if not all(ker_next.contains(y) for y in dk):
+            raise TheoremViolationError(
+                f"del_bar(Ker mu_bar) is not contained in Ker mu_bar at bidegree {(p, q + 1)}"
+            )
+        if not all(img_next.contains(y) for y in _images(cols[(p, q)], nrows, img.basis)):
+            raise TheoremViolationError(
+                f"del_bar(Im mu_bar) is not contained in Im mu_bar at bidegree {(p, q + 1)}"
+            )
+        ranks[(p, q)] = mat_rank([r for r in (img_next.reduce(y) for y in dk) if any(r)])
+        images[(p, q)] = tuple(dk)
     for p, q in frame.bidegrees():
-        dom = pres[(p, q)]
-        h = dom.dim
-        outgoing = tilde[(p, q)].matrix
-        incoming = []
-        if q >= 1 and pres[(p, q - 1)].dim:
-            mat = tilde[(p, q - 1)].matrix
-            for j in range(pres[(p, q - 1)].dim):
-                incoming.append(tuple(mat[i][j] for i in range(len(mat))))
-        # cohomology inside the rep-coordinate space of H_mu_bar
-        dim, reps_coords = _two_term_cohomology(incoming, outgoing, Subspace.full(h))
-        rep_rows = sparse_rows(dom.reps)
-        ambient_reps = tuple(
-            combine_rows(coords, rep_rows, frame.dim(p, q)) for coords in reps_coords
-        )
-        dol[(p, q)] = (dim, reps_coords, ambient_reps)
-    return pres, tilde, dol
+        if q + 2 > frame.m:
+            continue
+        twice = _images(cols[(p, q + 1)], frame.dim(p, q + 2), images[(p, q)])
+        if not all(pres[(p, q + 2)][1].contains(z) for z in twice):
+            raise TheoremViolationError(
+                f"induced del_bar does not square to zero: del_bar(del_bar(Ker mu_bar)) "
+                f"is not contained in Im mu_bar at bidegree {(p, q + 2)}"
+            )
+    return pres, ranks, images
 
 
 @lru_cache(maxsize=None)
 def generalized_dolbeault(algebra, acs):
     """Cohomology of the map induced by del_bar on mu_bar-cohomology."""
     frame = bigraded_frame(algebra, acs)
-    _, _, dol = _cw_pipeline(algebra, acs)
-    dims = tuple(((p, q), dol[(p, q)][0]) for p, q in frame.bidegrees())
-    reps = tuple(((p, q), dol[(p, q)][2]) for p, q in frame.bidegrees())
-    return CohomologyTable("cw", dims, reps)
+    pres, ranks, _ = _cw_pipeline(algebra, acs)
+    dims = tuple(
+        ((p, q), pres[(p, q)][0].rank - pres[(p, q)][1].rank
+         - ranks[(p, q)] - ranks.get((p, q - 1), 0))
+        for p, q in frame.bidegrees()
+    )
+    return CohomologyTable("cw", dims)
 
 
 def compare_p0(algebra, acs):
@@ -398,45 +369,26 @@ def compare_p0(algebra, acs):
 
 
 def comparison_map_rank(algebra, acs, p, q):
-    """Rank of H_trans^{p,q} -> H_Dol^{p,q} (transverse class to its mu_bar class)."""
+    """Rank of H_trans^{p,q} -> H_cw^{p,q} (a transverse class to its mu_bar class).
+
+    H_cw^{p,q} is {k in K : D·k in I'} / (I + E) with E = D·K^{p,q-1}, and
+    the exact transverse forms lie in E, so the rank is
+    rank[Z ; I ; E] - rank[I ; E] for Z = ker D on M^{p,q}.
+    """
     frame = bigraded_frame(algebra, acs)
-    trans = transverse_dolbeault(algebra, acs)
-    pres, tilde, dol = _cw_pipeline(algebra, acs)
-    treps = trans.reps(p, q)
-    if not treps:
+    if (p, q) not in frame.bidegrees():
         return 0
-    mu_pres = pres[(p, q)]
-    dol_dim, dol_reps_coords, _ = dol[(p, q)]
-    # image of tilde from (p, q-1) inside the rep-coordinate space
-    incoming = []
-    if q >= 1 and pres[(p, q - 1)].dim:
-        mat = tilde[(p, q - 1)].matrix
-        for j in range(pres[(p, q - 1)].dim):
-            incoming.append(tuple(mat[i][j] for i in range(len(mat))))
-    h = mu_pres.dim
-    im_sub = Subspace.from_rows(h, incoming) if h else Subspace.zero(0)
-    # both presentations are factored once; the checks below run per class, in order
-    classes = [
-        None if coeffs is None else tuple(coeffs[: len(mu_pres.reps)])
-        for coeffs in solve_many_in_rows(mu_pres.reps + mu_pres.quot_by.basis, treps)
-    ]
-    all_coords = iter(
-        solve_many_in_rows(dol_reps_coords + im_sub.basis, [c for c in classes if c is not None])
+    module, d_images = _restricted_del_bar(algebra, acs)
+    pres, _, dk_images = _cw_pipeline(algebra, acs)
+    space = module.space(p, q)
+    zero = (ZERO,) * frame.dim(p, q + 1)
+    d_matrix = transpose([zero if y is None else y for y in d_images[(p, q)]])
+    closed = tuple(
+        combine_rows(c, space.sparse_basis, space.ambient_dim)
+        for c in kernel(d_matrix, ncols=space.rank).basis
     )
-    outgoing = tilde[(p, q)].matrix
-    nonzero = _nonzero_rows(outgoing)
-    cols = []
-    for v, cls in zip(treps, classes):
-        if not mu_pres.sub.contains(v):
-            raise TheoremViolationError("a transverse form escaped Ker mu_bar")
-        if cls is None:
-            raise TheoremViolationError("transverse class has no mu_bar-class expression")
-        if nonzero and any(_apply_sparse(nonzero, len(outgoing[0]), cls)):
-            raise TheoremViolationError("image of a del_bar-closed transverse form is not closed")
-        coords = next(all_coords)
-        if coords is None:
-            raise TheoremViolationError("mu_bar class not expressible in H_Dol presentation")
-        cols.append(tuple(coords[: dol_dim]))
-    if not cols or dol_dim == 0:
-        return 0
-    return len(rref_rows(cols)[0])
+    ker, img = pres[(p, q)]
+    if not all(ker.contains(z) for z in closed):
+        raise TheoremViolationError("a transverse form escaped Ker mu_bar")
+    ie = img.basis + dk_images.get((p, q - 1), ())
+    return mat_rank(closed + ie) - mat_rank(ie)

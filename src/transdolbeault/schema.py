@@ -57,12 +57,20 @@ def _json_int(value, what):
     return value
 
 
+_DECIMAL = "0|[1-9][0-9]*"
+
+
+def _decimal_key(key, what):
+    """A key that is a canonical ASCII decimal ("3", not " 3", "+3", "03",
+    "3_0" or a non-ASCII digit), as an int."""
+    if not (isinstance(key, str) and re.fullmatch(_DECIMAL, key)):
+        raise SchemaError(f"{what} must be a decimal basis index, got {key!r}")
+    return int(key)
+
+
 def _coeff_index(key):
-    """0-based index of a bracket coefficient key: a canonical ASCII decimal
-    ("3", not " 3", "+3", "03", "3_0" or a non-ASCII digit)."""
-    if not (isinstance(key, str) and re.fullmatch("0|[1-9][0-9]*", key)):
-        raise SchemaError(f"coefficient key must be a decimal basis index, got {key!r}")
-    return int(key) - 1
+    """0-based index of a bracket coefficient key (1-based on the wire)."""
+    return _decimal_key(key, "coefficient key") - 1
 
 
 def _real_from_str(s):
@@ -193,18 +201,23 @@ def form_to_json(form):
 
 
 def form_from_json(frame, doc):
+    """The inverse of form_to_json: bidegree keys "p,q" and monomial keys are
+    canonical ASCII decimals, and monomial indices are 0-based."""
     from .forms import BigradedForm
 
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a form must be a JSON object, got {doc!r}")
     comps = {}
     for key, entries in doc.items():
-        try:
-            p, q = (int(t) for t in key.split(","))
-        except ValueError as exc:
-            raise SchemaError(f"bad bidegree key {key!r}") from exc
+        if not (isinstance(key, str) and re.fullmatch(f"({_DECIMAL}),({_DECIMAL})", key)):
+            raise SchemaError(f"bad bidegree key {key!r}")
+        p, q = (int(t) for t in key.split(","))
+        if not isinstance(entries, dict):
+            raise SchemaError(f"component {key!r} must be a JSON object, got {entries!r}")
         dim = frame.dim(p, q)
         vec = [GaussianRational.of(0)] * dim
         for idx, val in entries.items():
-            i = int(idx)
+            i = _decimal_key(idx, "monomial key")
             if not 0 <= i < dim:
                 raise SchemaError(f"monomial index {i} out of range at bidegree ({p},{q})")
             vec[i] = scalar_from_json(val)

@@ -8,10 +8,15 @@ are computed by local elimination routines. The elimination oracles
 oracle_quotient_representatives, oracle_reduce) use nothing from
 transdolbeault.linalg; oracle_transverse_module eliminates with them.
 oracle_nijenhuis uses nothing from transdolbeault.acs, and oracle_d2_failures
-nothing from transdolbeault.forms.
+nothing from transdolbeault.forms. oracle_cohomology_dims and
+oracle_comparison_rank present every cohomology as a quotient with
+representatives, induced maps and solves, using only the elimination oracles
+above and nothing from transdolbeault.linalg or transdolbeault.cohomology.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 
 from transdolbeault.lie import bracket
 from transdolbeault.scalars import GaussianRational, I, ZERO
@@ -188,11 +193,14 @@ def oracle_transverse_module(algebra, acs, vectors):
 def oracle_quotient_representatives(sub_basis, quot_basis):
     """Greedy: the rows of sub_basis, in order, that raise the rank of what came before."""
     acc = list(quot_basis)
+    rank = oracle_rank(acc)
     reps = []
     for row in sub_basis:
-        if oracle_rank(acc + [row]) > oracle_rank(acc):
+        grown = oracle_rank(acc + [row])
+        if grown > rank:
             acc.append(row)
             reps.append(row)
+            rank = grown
     return tuple(reps)
 
 
@@ -455,3 +463,130 @@ def oracle_d2_failures(blocks_by_name):
             if any(total.values()):
                 failures.append((name, (p, q)))
     return tuple(failures)
+
+
+def _oracle_columns(matrix, ncols):
+    return [tuple(row[j] for row in matrix) for j in range(ncols)]
+
+
+def _oracle_coords(basis, v):
+    coeffs = oracle_solve(list(basis), v)
+    assert coeffs is not None, "vector outside the span it must lie in"
+    return coeffs
+
+
+def _oracle_two_term(outgoing, basis, incoming):
+    """Representatives of ker(outgoing)/span(incoming) inside span(basis).
+
+    outgoing is a matrix in the coordinates of the echelon rows ``basis``;
+    incoming are vectors in the ambient coordinates of those rows.
+    """
+    if not basis:
+        return ()
+    ker = oracle_kernel(list(outgoing), len(basis))
+    ker_vectors = [
+        tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), ZERO) for i in range(len(basis[0])))
+        for coeffs in ker
+    ]
+    ker_sub = oracle_rref(ker_vectors)[0] if ker_vectors else ()
+    im_sub = oracle_rref(list(incoming))[0] if incoming else ()
+    return oracle_quotient_representatives(ker_sub, im_sub)
+
+
+def _oracle_quotient_pipeline(blocks_by_name, module_bases):
+    """Every table as a quotient presentation: the algorithm the kernel used before ranks.
+
+    blocks_by_name: {"mu_bar": {(p, q): dense matrix}, "del_bar": {...}, ...};
+    module_bases: {(p, q): rows spanning the transverse module}, in echelon form.
+    The result is memoized on the last input, so oracle_cohomology_dims and
+    oracle_comparison_rank on the same instance share one pipeline.
+    """
+    return _oracle_quotient_pipeline_frozen(
+        tuple(sorted(blocks_by_name["mu_bar"].items())),
+        tuple(sorted(blocks_by_name["del_bar"].items())),
+        tuple(sorted((bid, tuple(rows)) for bid, rows in module_bases.items())),
+    )
+
+
+@lru_cache(maxsize=1)
+def _oracle_quotient_pipeline_frozen(mu_bar, del_bar, module_bases):
+    mu_bar, del_bar, module_bases = dict(mu_bar), dict(del_bar), dict(module_bases)
+    bids = sorted(del_bar)
+    m = max(p for p, _ in bids)
+
+    def dim(p, q):
+        return comb(m, p) * comb(m, q) if 0 <= p <= m and 0 <= q <= m else 0
+
+    # H_mu_bar^{p,q} = K / I with representatives from the echelon basis of K
+    mu = {}
+    for p, q in bids:
+        ker = oracle_kernel(list(mu_bar[(p, q)]), dim(p, q))
+        src = mu_bar.get((p + 1, q - 2))
+        cols = _oracle_columns(src, dim(p + 1, q - 2)) if src else []
+        img = oracle_rref(cols)[0] if cols else ()
+        mu[(p, q)] = (ker, img, oracle_quotient_representatives(ker, img))
+    # tilde_{p,q}: the matrix of del_bar from H_mu_bar^{p,q} to H_mu_bar^{p,q+1}
+    tilde = {}
+    for p, q in bids:
+        reps = mu[(p, q)][2]
+        if q == m:
+            tilde[(p, q)] = ()
+            continue
+        _, img_next, reps_next = mu[(p, q + 1)]
+        cols = [
+            _oracle_coords(reps_next + img_next, mat_vec(del_bar[(p, q)], r))[: len(reps_next)]
+            for r in reps
+        ]
+        tilde[(p, q)] = tuple(zip(*cols)) if cols and reps_next else ()
+    # H_cw^{p,q} = ker tilde_{p,q} / im tilde_{p,q-1} in the coordinates of the mu reps
+    cw = {}
+    for p, q in bids:
+        h = len(mu[(p, q)][2])
+        unit = tuple(tuple(ONE if i == j else ZERO for j in range(h)) for i in range(h))
+        incoming = _oracle_columns(tilde[(p, q - 1)], len(mu[(p, q - 1)][2])) if q else []
+        incoming = [c for c in incoming if any(c)]
+        reps = _oracle_two_term(tilde[(p, q)], unit, incoming)
+        cw[(p, q)] = (reps, oracle_rref(incoming)[0] if incoming else ())
+    # H_trans: del_bar restricted to the module, as a matrix between module bases
+    restricted = {}
+    for p, q in bids:
+        basis = module_bases[(p, q)]
+        if q == m:
+            restricted[(p, q)] = ()
+            continue
+        cod = module_bases[(p, q + 1)]
+        cols = [_oracle_coords(cod, mat_vec(del_bar[(p, q)], b)) for b in basis]
+        restricted[(p, q)] = tuple(zip(*cols)) if cols and cod else ()
+    trans = {}
+    for p, q in bids:
+        incoming = [mat_vec(del_bar[(p, q - 1)], b) for b in module_bases[(p, q - 1)]] if q else []
+        incoming = [v for v in incoming if any(v)]
+        trans[(p, q)] = _oracle_two_term(restricted[(p, q)], tuple(module_bases[(p, q)]), incoming)
+    return mu, cw, trans
+
+
+def oracle_cohomology_dims(blocks_by_name, module_bases):
+    """{"trans" | "mu_bar" | "cw": {(p, q): dim}} from quotient presentations."""
+    mu, cw, trans = _oracle_quotient_pipeline(blocks_by_name, module_bases)
+    return {
+        "trans": {bid: len(reps) for bid, reps in trans.items()},
+        "mu_bar": {bid: len(data[2]) for bid, data in mu.items()},
+        "cw": {bid: len(data[0]) for bid, data in cw.items()},
+    }
+
+
+def oracle_comparison_rank(blocks_by_name, module_bases):
+    """{(p, q): rank of H_trans -> H_cw}: each transverse representative is written
+    in the mu_bar presentation, then in the H_cw presentation, and the
+    resulting coordinate columns are ranked."""
+    mu, cw, trans = _oracle_quotient_pipeline(blocks_by_name, module_bases)
+    out = {}
+    for bid, treps in trans.items():
+        _, img, mu_reps = mu[bid]
+        cw_reps, cw_im = cw[bid]
+        cols = []
+        for v in treps:
+            cls = _oracle_coords(mu_reps + img, v)[: len(mu_reps)]
+            cols.append(_oracle_coords(cw_reps + cw_im, cls)[: len(cw_reps)])
+        out[bid] = oracle_rank(cols) if cols and cw_reps else 0
+    return out

@@ -233,9 +233,46 @@ def test_derived_flag_failure_exits_2_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_cw_inclusion_failure_exits_2_without_traceback(monkeypatch, capsys):
+    """del_bar(Ker mu_bar) ⊆ Ker mu_bar follows from mu_bar del_bar + del_bar mu_bar = 0,
+    so a corrupted del_bar block is a theorem violation, not bad user data."""
+    import dataclasses
+
+    import transdolbeault.cohomology as coh
+    from transdolbeault.forms import component_operators
+    from transdolbeault.scalars import ONE
+
+    def corrupted(algebra, acs):
+        ops = dict(component_operators(algebra, acs))
+        del_bar = ops["del_bar"]
+        blocks = tuple(
+            (bid, tuple(tuple(ONE for _ in row) for row in mat) if bid == (1, 0) else mat)
+            for bid, mat in del_bar.blocks
+        )
+        ops["del_bar"] = dataclasses.replace(del_bar, blocks=blocks)
+        return ops
+
+    cached = (coh._mu_bar_presentations, coh.mu_bar_cohomology, coh._cw_pipeline,
+              coh.generalized_dolbeault)
+    monkeypatch.setattr(coh, "component_operators", corrupted)
+    for fn in cached:
+        fn.cache_clear()
+    try:
+        assert main(["report", "--catalog", "heisenberg5_plus_r"]) == 2
+    finally:
+        for fn in cached:
+            fn.cache_clear()
+    err = capsys.readouterr().err
+    assert err == (
+        "theorem violation (internal bug): del_bar(Ker mu_bar) is not contained in "
+        "Ker mu_bar at bidegree (1, 1)\n"
+    )
+
+
 def test_form_serialization_roundtrip(kt):
     import random
 
+    from transdolbeault.errors import SchemaError
     from transdolbeault.forms import bigrade, bigraded_frame
     from transdolbeault.schema import form_from_json, form_to_json
 
@@ -245,6 +282,25 @@ def test_form_serialization_roundtrip(kt):
     doc = form_to_json(form)
     assert form_from_json(frame, doc) == form
     assert json.loads(dumps_canonical(doc)) == doc
+    # keys are canonical ASCII decimals, as for bracket coefficients: the first
+    # seven were once read as index 1 of (1,0), and a non-object form or
+    # component raised AttributeError
+    for bad in (
+        {" 1, 0 ": {"+1": "1"}},
+        {"1,0": {"\u0661": "2"}},
+        {"1,0": {"0_1": "1"}},
+        {"1,0": {"01": "1"}},
+        {"1,0": {" 1": "1"}},
+        {"+1,0": {"1": "1"}},
+        {"1, 0": {"1": "1"}},
+        {"1,0,": {"1": "1"}},
+        {"1": {"1": "1"}},
+        {"1,0": 5},
+        {"1,0": ["1"]},
+        [],
+    ):
+        with pytest.raises(SchemaError):
+            form_from_json(frame, bad)
 
 
 def test_schema_checks_j_before_building_the_algebra(monkeypatch):

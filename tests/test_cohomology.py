@@ -3,8 +3,14 @@ from math import comb
 import pytest
 
 from conftest import instance_pool
-from oracles import oracle_hp0_dims, oracle_rank, oracle_transverse_module
-from transdolbeault.catalog import catalog_get
+from oracles import (
+    oracle_cohomology_dims,
+    oracle_comparison_rank,
+    oracle_hp0_dims,
+    oracle_rank,
+    oracle_transverse_module,
+)
+from transdolbeault.catalog import catalog_get, random_acs
 from transdolbeault.cohomology import (
     compare_p0,
     comparison_map_rank,
@@ -17,7 +23,7 @@ from transdolbeault.cohomology import (
 from transdolbeault.errors import PreconditionError, TheoremViolationError
 from transdolbeault.acs import nijenhuis_image
 from transdolbeault.flag import derived_flag
-from transdolbeault.lie import bracket
+from transdolbeault.lie import LieAlgebra, bracket
 from transdolbeault.forms import BigradedForm, bigrade, bigraded_frame, component_operators, contract
 from transdolbeault.linalg import Subspace, as_vector, basis_vector, kernel
 from transdolbeault.scalars import GaussianRational, I, ONE, ZERO
@@ -299,3 +305,33 @@ def test_trans_constants_survive(strict_entries):
     """(0,0) of the transverse table is always at least 1 (the constants)."""
     for entry in strict_entries:
         assert transverse_dolbeault(entry.algebra, entry.acs).dim(0, 0) >= 1
+
+
+# -- rank formulas against the quotient-presentation oracle ---------------------------
+
+def _assert_tables_match_quotient_oracle(L, acs):
+    blocks = {name: dict(op.blocks) for name, op in component_operators(L, acs).items()}
+    module = transverse_module(L, acs, derived_flag(L, acs).limit)
+    bases = {bid: space.basis for bid, space in module.spaces}
+    expected = oracle_cohomology_dims(blocks, bases)
+    assert transverse_dolbeault(L, acs).dims_dict() == expected["trans"]
+    assert mu_bar_cohomology(L, acs).dims_dict() == expected["mu_bar"]
+    assert generalized_dolbeault(L, acs).dims_dict() == expected["cw"]
+    ranks = oracle_comparison_rank(blocks, bases)
+    assert {bid: comparison_map_rank(L, acs, *bid) for bid in ranks} == ranks
+
+
+def test_tables_match_quotient_oracle_catalog(strict_entries):
+    """Every table and comparison rank, from ranks, equals the quotient presentation's."""
+    for entry in strict_entries:
+        L = entry.algebra
+        _assert_tables_match_quotient_oracle(L, entry.acs)
+        for seed in range(3):
+            _assert_tables_match_quotient_oracle(L, random_acs(L, seed))
+
+
+def test_tables_match_quotient_oracle_on_pool():
+    for L, acs, _seed in instance_pool(21):
+        _assert_tables_match_quotient_oracle(L, acs)
+    filiform8 = LieAlgebra.from_brackets(8, {(0, i): {i + 1: 1} for i in range(1, 7)})
+    _assert_tables_match_quotient_oracle(filiform8, random_acs(filiform8, 0))
