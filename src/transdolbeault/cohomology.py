@@ -32,14 +32,7 @@ from itertools import combinations, product
 from .errors import PreconditionError, TheoremViolationError
 from .flag import closure_witness, derived_flag
 from .forms import bigraded_frame, component_operators, wedge_one_form
-from .linalg import (
-    Subspace,
-    combine_rows,
-    kernel,
-    mat_rank,
-    sparse_rows,
-    transpose,
-)
+from .linalg import Subspace, combine_rows, dense_vector, kernel, mat_rank, transpose
 from .scalars import ONE, ZERO
 
 __all__ = [
@@ -166,28 +159,13 @@ def transverse_module(algebra, acs, dist):
     return TransverseModule(dist, tuple(spaces))
 
 
-def _images(cols, nrows, vectors):
-    """The nonzero products block·v for dense v, the block given by its sparse columns."""
+def _images(op, p, q, vectors):
+    """op·v for each dense v in Λ^{p,q}, as a dense vector, or None where it is zero."""
+    cols = op.block_columns(p, q)
     if not any(cols):
-        return []
-    images = (combine_rows(v, cols, nrows) for v in vectors)
-    return [y for y in images if any(y)]
-
-
-def _d_parts(frame, p, q, nonzeros):
-    """d of the (p,q)-form with these (index, coefficient) pairs, as {bidegree: dense vector}."""
-    monos = frame.mono_basis(p, q)
-    grouped = {}
-    for tgt, c in frame.d_flat({monos[j]: x for j, x in nonzeros}).items():
-        grouped.setdefault(frame.bidegree_of(tgt), {})[tgt] = c
-    parts = {}
-    for bid, part in grouped.items():
-        vec = [ZERO] * frame.dim(*bid)
-        index = frame.mono_index(*bid)
-        for tgt, c in part.items():
-            vec[index[tgt]] = c
-        parts[bid] = tuple(vec)
-    return parts
+        return [None] * len(vectors)
+    n = op.frame.dim(*op.target(p, q))
+    return [y if any(y) else None for y in (combine_rows(v, cols, n) for v in vectors)]
 
 
 @lru_cache(maxsize=None)
@@ -206,22 +184,23 @@ def _restricted_del_bar(algebra, acs):
             f"derived-flag limit lost transverse closure: {closure.witness}"
         )
     module = transverse_module(algebra, acs, flag.limit)
+    ops = component_operators(algebra, acs)
     images = {}
     for p, q in frame.bidegrees():
-        out = []
-        for row in module.space(p, q).sparse_basis:
-            parts = _d_parts(frame, p, q, row)
-            for bid, part in parts.items():
-                if (bid[0] - p, bid[1] - q) in ((2, -1), (-1, 2)):
-                    raise TheoremViolationError(
-                        f"mu/mu_bar acted nontrivially on a transverse ({p},{q})-form"
-                    )
-                if not module.space(*bid).contains(part):
-                    raise TheoremViolationError(
-                        f"d left the transverse module at bidegree {bid}"
-                    )
-            out.append(parts.get((p, q + 1)))
-        images[(p, q)] = tuple(out)
+        basis = module.space(p, q).basis
+        for name, op in ops.items():
+            parts = _images(op, p, q, basis)
+            if name in ("mu", "mu_bar") and any(y is not None for y in parts):
+                raise TheoremViolationError(
+                    f"mu/mu_bar acted nontrivially on a transverse ({p},{q})-form"
+                )
+            bid = op.target(p, q)
+            if not all(y is None or module.space(*bid).contains(y) for y in parts):
+                raise TheoremViolationError(
+                    f"d left the transverse module at bidegree {bid}"
+                )
+            if name == "del_bar":
+                images[(p, q)] = tuple(parts)
     return module, images
 
 
@@ -230,16 +209,16 @@ def transverse_dolbeault(algebra, acs):
     """Invariant transverse Dolbeault table for the derived-flag limit."""
     frame = bigraded_frame(algebra, acs)
     module, images = _restricted_del_bar(algebra, acs)
+    del_bar = component_operators(algebra, acs)["del_bar"]
     ranks = {}
     for (p, q), column in images.items():
         exact = [y for y in column if y is not None]
-        for y in exact:  # D·M^{p,q} lies in M^{p,q+1}, where D must vanish on it
-            nonzeros = ((j, x) for j, x in enumerate(y) if x)
-            if (p, q + 2) in _d_parts(frame, p, q + 1, nonzeros):
-                raise TheoremViolationError(
-                    "del_bar does not square to zero on the transverse module "
-                    f"at bidegree {(p, q)}"
-                )
+        # D·M^{p,q} lies in M^{p,q+1}, where D must vanish on it
+        if any(z is not None for z in _images(del_bar, p, q + 1, exact)):
+            raise TheoremViolationError(
+                "del_bar does not square to zero on the transverse module "
+                f"at bidegree {(p, q)}"
+            )
         ranks[(p, q)] = mat_rank(exact)
     dims = tuple(
         ((p, q), module.space(p, q).rank - ranks[(p, q)] - ranks.get((p, q - 1), 0))
@@ -256,11 +235,13 @@ def _mu_bar_presentations(algebra, acs):
     kernels, images = {}, {}
     for p, q in frame.bidegrees():
         dim = frame.dim(p, q)
-        block = mu_bar.block(p, q)
-        nonzero = [col for col in transpose(block) if any(col)]
-        kernels[(p, q)] = kernel(block, ncols=dim) if nonzero else Subspace.full(dim)
-        if nonzero:
-            images[(p - 1, q + 2)] = Subspace.from_rows(frame.dim(p - 1, q + 2), nonzero)
+        nonzero = [col for col in mu_bar.block_columns(p, q) if col]
+        if not nonzero:
+            kernels[(p, q)] = Subspace.full(dim)
+            continue
+        kernels[(p, q)] = kernel(mu_bar.block(p, q), ncols=dim)
+        n = frame.dim(p - 1, q + 2)
+        images[(p - 1, q + 2)] = Subspace.from_rows(n, [dense_vector(c, n) for c in nonzero])
     out = {}
     for p, q in frame.bidegrees():
         ker = kernels[(p, q)]
@@ -297,10 +278,6 @@ def _cw_pipeline(algebra, acs):
     frame = bigraded_frame(algebra, acs)
     del_bar = component_operators(algebra, acs)["del_bar"]
     pres = _mu_bar_presentations(algebra, acs)
-    cols = {
-        (p, q): sparse_rows(transpose(del_bar.block(p, q)))
-        for p, q in frame.bidegrees() if q < frame.m
-    }
     ranks, images = {}, {}
     for p, q in frame.bidegrees():
         if q == frame.m:
@@ -308,13 +285,12 @@ def _cw_pipeline(algebra, acs):
             continue
         ker, img = pres[(p, q)]
         ker_next, img_next = pres[(p, q + 1)]
-        nrows = frame.dim(p, q + 1)
-        dk = _images(cols[(p, q)], nrows, ker.basis)
+        dk = [y for y in _images(del_bar, p, q, ker.basis) if y is not None]
         if not all(ker_next.contains(y) for y in dk):
             raise TheoremViolationError(
                 f"del_bar(Ker mu_bar) is not contained in Ker mu_bar at bidegree {(p, q + 1)}"
             )
-        if not all(img_next.contains(y) for y in _images(cols[(p, q)], nrows, img.basis)):
+        if not all(y is None or img_next.contains(y) for y in _images(del_bar, p, q, img.basis)):
             raise TheoremViolationError(
                 f"del_bar(Im mu_bar) is not contained in Im mu_bar at bidegree {(p, q + 1)}"
             )
@@ -323,8 +299,8 @@ def _cw_pipeline(algebra, acs):
     for p, q in frame.bidegrees():
         if q + 2 > frame.m:
             continue
-        twice = _images(cols[(p, q + 1)], frame.dim(p, q + 2), images[(p, q)])
-        if not all(pres[(p, q + 2)][1].contains(z) for z in twice):
+        twice = _images(del_bar, p, q + 1, images[(p, q)])
+        if not all(z is None or pres[(p, q + 2)][1].contains(z) for z in twice):
             raise TheoremViolationError(
                 f"induced del_bar does not square to zero: del_bar(del_bar(Ker mu_bar)) "
                 f"is not contained in Im mu_bar at bidegree {(p, q + 2)}"

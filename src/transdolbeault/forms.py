@@ -8,7 +8,10 @@ on generators, dψ(X,Y) = -ψ([X,Y]), and extends as a degree-+1 derivation.
 
 d splits into the four bidegree components mu_bar, del_bar, del, mu with
 shifts (-1,2), (0,1), (1,0), (2,-1); anything landing elsewhere is a bug and
-raises TheoremViolationError.
+raises TheoremViolationError. Each component is stored once, as sparse
+columns: for every source monomial, the ((target index, value), ...)
+nonzeros of its image, in index order. Every consumer reads these columns;
+dense matrices (BigradedOperator.block, .blocks) are views built on request.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from math import lcm
 from .acs import split_10_01
 from .errors import ShapeError, TheoremViolationError
 from .lie import bracket
-from .linalg import dot
+from .linalg import combine_rows, dot
 from .scalars import GaussianRational, ZERO
 
 __all__ = [
@@ -104,7 +107,6 @@ class BigradedFrame:
         self.d_gen = tuple(d_gen)
         self._monos = {}
         self._mono_index = {}
-        self._blocks = {}
 
     # -- monomial bookkeeping -------------------------------------------------
 
@@ -204,40 +206,29 @@ class BigradedFrame:
     # -- operator blocks ------------------------------------------------------------
 
     def d_blocks(self, p, q):
-        """The four matrices of d out of bidegree (p,q), keyed by component name."""
-        key = (p, q)
-        if key in self._blocks:
-            return self._blocks[key]
-        source = self.mono_basis(p, q)
-        cols = {name: [] for name in SHIFTS}
-        allowed = {
-            (p + dp, q + dq): name for name, (dp, dq) in SHIFTS.items()
+        """The four components of d out of bidegree (p,q), as {name: columns}.
+
+        columns[j] holds d of source monomial j in that component as its
+        ((target index, value), ...) nonzeros, in index order.
+        """
+        targets = {
+            (p + dp, q + dq): (name, self.mono_index(p + dp, q + dq))
+            for name, (dp, dq) in SHIFTS.items()
         }
-        for mono in source:
-            image = self.d_flat({mono: GaussianRational.of(1)})
-            coldata = {name: {} for name in SHIFTS}
-            for tgt, c in image.items():
+        cols = {name: [] for name in SHIFTS}
+        for mono in self.mono_basis(p, q):
+            parts = {name: [] for name in SHIFTS}
+            for tgt, c in self.d_flat({mono: GaussianRational.of(1)}).items():
                 bid = self.bidegree_of(tgt)
-                name = allowed.get(bid)
-                if name is None:
+                if bid not in targets:
                     raise TheoremViolationError(
                         f"d of a ({p},{q})-form landed in bidegree {bid}"
                     )
-                coldata[name][tgt] = c
-            for name in SHIFTS:
-                cols[name].append(coldata[name])
-        blocks = {}
-        for name, (dp, dq) in SHIFTS.items():
-            tp, tq = p + dp, q + dq
-            tmonos = self.mono_basis(tp, tq)
-            tindex = self.mono_index(tp, tq)
-            mat = [[ZERO] * len(source) for _ in tmonos]
-            for j, coldict in enumerate(cols[name]):
-                for tgt, c in coldict.items():
-                    mat[tindex[tgt]][j] = c
-            blocks[name] = tuple(tuple(row) for row in mat)
-        self._blocks[key] = blocks
-        return blocks
+                name, index = targets[bid]
+                parts[name].append((index[tgt], c))
+            for name, part in parts.items():
+                cols[name].append(tuple(sorted(part)))
+        return {name: tuple(c) for name, c in cols.items()}
 
 
 @lru_cache(maxsize=None)
@@ -382,41 +373,59 @@ def realize(form):
 
 @dataclass(frozen=True)
 class BigradedOperator:
-    """One bidegree component of d: per-source-bidegree matrices plus its shift."""
+    """One bidegree component of d, stored once as sparse columns.
+
+    ``columns`` holds ((p, q), cols) for every in-range source bidegree, in
+    sorted order; cols[j] is the image of source monomial j as its
+    ((target index, value), ...) nonzeros, in index order. The dense
+    matrices ``block(p, q)`` and ``blocks`` are views built from the columns
+    on request.
+    """
 
     frame: BigradedFrame
     shift: tuple
-    blocks: tuple  # sorted ((p, q), matrix) for every in-range source bidegree
+    columns: tuple
+
+    def block_columns(self, p, q):
+        """The sparse columns out of (p, q); () outside the bidegree range."""
+        for bid, cols in self.columns:
+            if bid == (p, q):
+                return cols
+        return ()
 
     def block(self, p, q):
-        for bid, mat in self.blocks:
-            if bid == (p, q):
-                return mat
-        return None
+        """The dense matrix out of (p, q); None outside the bidegree range."""
+        cols = self.block_columns(p, q)
+        if not cols:
+            return None
+        mat = [[ZERO] * len(cols) for _ in range(self.frame.dim(*self.target(p, q)))]
+        for j, col in enumerate(cols):
+            for i, x in col:
+                mat[i][j] = x
+        return tuple(tuple(row) for row in mat)
+
+    @property
+    def blocks(self):
+        """Sorted ((p, q), dense matrix) for every in-range source bidegree."""
+        return tuple((bid, self.block(*bid)) for bid, _ in self.columns)
+
+    def target(self, p, q):
+        """The bidegree the block out of (p, q) maps into."""
+        return (p + self.shift[0], q + self.shift[1])
 
     def apply(self, form):
-        frame = self.frame
-        out = {}
-        dp, dq = self.shift
+        images = {}
         for (p, q), coeffs in form.components:
-            mat = self.block(p, q)
-            if mat is None or not mat:
-                continue
-            tp, tq = p + dp, q + dq
-            tmonos = frame.mono_basis(tp, tq)
-            for i, row in enumerate(mat):
-                val = ZERO
-                for a, b in zip(row, coeffs):
-                    if a and b:
-                        val = val + a * b
-                if val:
-                    out[tmonos[i]] = out.get(tmonos[i], ZERO) + val
-        return BigradedForm.from_flat(frame, out)
+            cols = self.block_columns(p, q)
+            if cols:
+                tgt = self.target(p, q)
+                images[tgt] = combine_rows(coeffs, cols, self.frame.dim(*tgt))
+        return BigradedForm.from_components(self.frame, images)
 
 
 @lru_cache(maxsize=None)
 def component_operators(algebra, acs):
-    """The four components of d, as dense per-bidegree matrices.
+    """The four components of d, each a BigradedOperator of sparse columns.
 
     Returns {"mu_bar": .., "del_bar": .., "del": .., "mu": ..} ("del" is a
     Python keyword, hence the string-keyed dict).
@@ -424,9 +433,8 @@ def component_operators(algebra, acs):
     frame = bigraded_frame(algebra, acs)
     per_name = {name: [] for name in SHIFTS}
     for p, q in frame.bidegrees():
-        blocks = frame.d_blocks(p, q)
-        for name in SHIFTS:
-            per_name[name].append(((p, q), blocks[name]))
+        for name, cols in frame.d_blocks(p, q).items():
+            per_name[name].append(((p, q), cols))
     return {
         name: BigradedOperator(frame, SHIFTS[name], tuple(per_name[name]))
         for name in SHIFTS
@@ -463,51 +471,48 @@ class D2Report:
 
 
 def verify_d2_relations(algebra, acs):
-    """Check the seven component identities equivalent to d∘d = 0, block by block.
+    """Check the seven component identities equivalent to d∘d = 0, column by column.
 
-    The check runs in Gaussian integers. Let L be the lcm of the re and im
-    denominators of the nonzero entries of every block; each block is stored
-    once as sparse rows of (column, L·re, L·im) ints, so L·A is integral for
-    every block A. A composite B·A then becomes (L·B)(L·A) = L²·(B·A), and a
-    relation ΣB_t·A_t vanishes over Q(i) exactly when its L²-multiple
-    vanishes in Z[i]: no Fraction is formed, and each sum is over the
-    nonzero entries of its two factors only.
+    The check reads the operators' sparse columns and runs in Gaussian
+    integers. Let L be the lcm of the re and im denominators of every stored
+    entry; each column is rewritten once as (target index, L·re, L·im) ints,
+    so L·A is integral for every block A. A composite B·A then becomes
+    (L·B)(L·A) = L²·(B·A), and a relation ΣB_t·A_t vanishes over Q(i)
+    exactly when its L²-multiple vanishes in Z[i]. Column j of B·A is
+    Σ_k A[k,j]·B[:,k], so no Fraction is formed and each sum runs over the
+    stored entries of its two factors only.
     """
     ops = component_operators(algebra, acs)
     frame = bigraded_frame(algebra, acs)
-    # rows[(name, p, q)]: each row's nonzero (column, entry) pairs, rewritten
-    # in place below as (column, L·re, L·im) once L is known; a block with no
-    # nonzero entry is left out, as it adds nothing to any composite
-    rows = {}
-    for name in SHIFTS:
-        for p, q in frame.bidegrees():
-            block = ops[name].block(p, q)
-            if block is not None:
-                nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in block]
-                if any(nonzeros):
-                    rows[(name, p, q)] = nonzeros
+    # cols[(name, p, q)]: the block's columns, rewritten in place below as
+    # (index, L·re, L·im) once L is known; a block with no stored entry is
+    # left out, as it adds nothing to any composite
+    cols = {
+        (name, p, q): [list(col) for col in block]
+        for name, op in ops.items() for (p, q), block in op.columns if any(block)
+    }
     scale = lcm(*{
         f.denominator
-        for block in rows.values() for row in block for _, x in row for f in (x.re, x.im)
+        for block in cols.values() for col in block for _, x in col for f in (x.re, x.im)
     })
-    for block in rows.values():
-        for row in block:
-            row[:] = [
-                (j, x.re.numerator * (scale // x.re.denominator),
+    for block in cols.values():
+        for col in block:
+            col[:] = [
+                (i, x.re.numerator * (scale // x.re.denominator),
                  x.im.numerator * (scale // x.im.denominator))
-                for j, x in row
+                for i, x in col
             ]
 
-    def row_nonzero(pairs, r):
-        """Whether row r of Σ outer·inner is nonzero. Every term of one relation
-        has the same total shift, so row r of each outer block is the same
-        target monomial."""
+    def column_nonzero(pairs, j):
+        """Whether column j of Σ outer·inner is nonzero. Every term of one
+        relation has the same total shift, so the outer blocks' indices all
+        name monomials of one target bidegree."""
         acc_re, acc_im = {}, {}
         for outer, inner in pairs:
-            for k, ar, ai in outer[r]:
-                for j, br, bi in inner[k]:
-                    acc_re[j] = acc_re.get(j, 0) + ar * br - ai * bi
-                    acc_im[j] = acc_im.get(j, 0) + ar * bi + ai * br
+            for k, ar, ai in inner[j]:
+                for i, br, bi in outer[k]:
+                    acc_re[i] = acc_re.get(i, 0) + br * ar - bi * ai
+                    acc_im[i] = acc_im.get(i, 0) + br * ai + bi * ar
         return any(acc_re.values()) or any(acc_im.values())
 
     failures = []
@@ -515,12 +520,11 @@ def verify_d2_relations(algebra, acs):
         for p, q in frame.bidegrees():
             pairs = []
             for outer, inner in terms:
-                dp, dq = SHIFTS[inner]
-                a = rows.get((inner, p, q))
-                b = rows.get((outer, p + dp, q + dq))
+                a = cols.get((inner, p, q))
+                b = cols.get((outer, *ops[inner].target(p, q)))
                 if a and b:
                     pairs.append((b, a))
-            if pairs and any(row_nonzero(pairs, r) for r in range(len(pairs[0][0]))):
+            if pairs and any(column_nonzero(pairs, j) for j in range(frame.dim(p, q))):
                 failures.append((name, (p, q)))
     return D2Report(tuple(failures))
 

@@ -30,6 +30,7 @@ __all__ = [
     "transpose",
     "identity_matrix",
     "sparse_rows",
+    "dense_vector",
     "combine_rows",
     "mat_inverse",
     "mat_rank",
@@ -261,10 +262,7 @@ class Subspace:
                         w[j] = new
                     else:
                         del w[j]
-        out = [ZERO] * self.ambient_dim
-        for j, x in w.items():
-            out[j] = x
-        return tuple(out)
+        return dense_vector(w.items(), self.ambient_dim)
 
     def contains(self, v):
         return not any(self.reduce(v))
@@ -419,6 +417,14 @@ def sparse_rows(rows):
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
 
+def dense_vector(nonzeros, n):
+    """The length-n vector with these (index, value) entries and zeros elsewhere."""
+    out = [ZERO] * n
+    for j, x in nonzeros:
+        out[j] = x
+    return tuple(out)
+
+
 def combine_rows(coeffs, srows, n):
     """sum(c * row for c, row in zip(coeffs, srows)) as a dense length-n vector.
 
@@ -432,10 +438,7 @@ def combine_rows(coeffs, srows, n):
         for j, x in row:
             old = acc.get(j)
             acc[j] = c * x if old is None else old + c * x
-    out = [ZERO] * n
-    for j, x in acc.items():
-        out[j] = x
-    return tuple(out)
+    return dense_vector(acc.items(), n)
 
 
 def _apply_sparse(srows, ncols, v):

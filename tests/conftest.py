@@ -2,6 +2,7 @@ import pytest
 
 from transdolbeault import catalog_get
 from transdolbeault.catalog import random_acs
+from transdolbeault.forms import BigradedOperator
 from transdolbeault.lie import LieAlgebra
 
 
@@ -70,3 +71,17 @@ def instance_pool(count, start_seed=0, dims=(2, 4, 6)):
         seed = start_seed + k
         out.append((algebra, random_acs(algebra, seed), seed))
     return out
+
+
+def operator_from_blocks(op, blocks):
+    """A BigradedOperator with op's frame and shift whose blocks are the dense
+    ((p, q), matrix) pairs given, stored as the operator stores them: one
+    ((target index, value), ...) column of nonzeros per source monomial."""
+    columns = tuple(
+        ((p, q), tuple(
+            tuple((i, row[j]) for i, row in enumerate(mat) if row[j])
+            for j in range(op.frame.dim(p, q))
+        ))
+        for (p, q), mat in blocks
+    )
+    return BigradedOperator(op.frame, op.shift, columns)

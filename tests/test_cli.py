@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import operator_from_blocks
 from transdolbeault.cli import RunConfig, execute, main
 from transdolbeault.errors import TheoremViolationError
 from transdolbeault.schema import dumps_canonical, entry_to_dict, load_entry_file, parse_entry
@@ -233,40 +234,60 @@ def test_derived_flag_failure_exits_2_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_cw_inclusion_failure_exits_2_without_traceback(monkeypatch, capsys):
-    """del_bar(Ker mu_bar) ⊆ Ker mu_bar follows from mu_bar del_bar + del_bar mu_bar = 0,
-    so a corrupted del_bar block is a theorem violation, not bad user data."""
-    import dataclasses
-
+@pytest.fixture
+def corrupt_block(monkeypatch):
+    """corrupt_block(name, bid) makes the `name` block out of bid all ONE in the
+    operators that cohomology reads. Every cohomology cache that reads the
+    operators is cleared at the patch and again at teardown, so the result does
+    not depend on which tests ran before."""
     import transdolbeault.cohomology as coh
     from transdolbeault.forms import component_operators
     from transdolbeault.scalars import ONE
 
-    def corrupted(algebra, acs):
-        ops = dict(component_operators(algebra, acs))
-        del_bar = ops["del_bar"]
-        blocks = tuple(
-            (bid, tuple(tuple(ONE for _ in row) for row in mat) if bid == (1, 0) else mat)
-            for bid, mat in del_bar.blocks
-        )
-        ops["del_bar"] = dataclasses.replace(del_bar, blocks=blocks)
-        return ops
+    cached = (coh._restricted_del_bar, coh.transverse_dolbeault, coh._mu_bar_presentations,
+              coh.mu_bar_cohomology, coh._cw_pipeline, coh.generalized_dolbeault)
 
-    cached = (coh._mu_bar_presentations, coh.mu_bar_cohomology, coh._cw_pipeline,
-              coh.generalized_dolbeault)
-    monkeypatch.setattr(coh, "component_operators", corrupted)
-    for fn in cached:
-        fn.cache_clear()
-    try:
-        assert main(["report", "--catalog", "heisenberg5_plus_r"]) == 2
-    finally:
+    def corrupt(name, bid):
+        def corrupted(algebra, acs):
+            ops = dict(component_operators(algebra, acs))
+            op = ops[name]
+            ops[name] = operator_from_blocks(op, tuple(
+                (b, tuple(tuple(ONE for _ in row) for row in mat) if b == bid else mat)
+                for b, mat in op.blocks
+            ))
+            return ops
+
+        monkeypatch.setattr(coh, "component_operators", corrupted)
         for fn in cached:
             fn.cache_clear()
+
+    yield corrupt
+    for fn in cached:
+        fn.cache_clear()
+
+
+def test_cw_inclusion_failure_exits_2_without_traceback(corrupt_block, capsys):
+    """del_bar(Ker mu_bar) ⊆ Ker mu_bar follows from mu_bar del_bar + del_bar mu_bar = 0,
+    so a corrupted del_bar block is a theorem violation, not bad user data."""
+    corrupt_block("del_bar", (1, 0))
+    assert main(["cohomology", "--theory", "cw", "--catalog", "heisenberg5_plus_r"]) == 2
     err = capsys.readouterr().err
     assert err == (
         "theorem violation (internal bug): del_bar(Ker mu_bar) is not contained in "
         "Ker mu_bar at bidegree (1, 1)\n"
     )
+
+
+@pytest.mark.parametrize("name, message", [
+    ("del_bar", "d left the transverse module at bidegree (1, 1)"),
+    ("mu_bar", "mu/mu_bar acted nontrivially on a transverse (1,0)-form"),
+], ids=["del_bar", "mu_bar"])
+def test_transverse_closure_failure_exits_2_without_traceback(corrupt_block, capsys, name, message):
+    """d keeps the transverse module and has no mu or mu_bar part on it; report
+    reads the same corrupted operators in its transverse table first."""
+    corrupt_block(name, (1, 0))
+    assert main(["report", "--catalog", "heisenberg5_plus_r"]) == 2
+    assert capsys.readouterr().err == f"theorem violation (internal bug): {message}\n"
 
 
 def test_form_serialization_roundtrip(kt):

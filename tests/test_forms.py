@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import instance_pool
-from oracles import oracle_d2_failures, oracle_d_real
+from conftest import instance_pool, operator_from_blocks
+from oracles import mat_vec as oracle_mat_vec, oracle_d2_failures, oracle_d_real
 from transdolbeault.catalog import random_acs
 from transdolbeault.errors import ShapeError
 from transdolbeault.forms import (
     BigradedForm,
-    BigradedOperator,
     SHIFTS,
     bigrade,
     bigraded_frame,
@@ -176,6 +175,28 @@ def test_conjugation_symmetry(strict_entries):
             assert ops["mu"].apply(w.conjugate()) == ops["mu_bar"].apply(w).conjugate()
 
 
+def test_operator_columns_round_trip(strict_entries, d2_instances):
+    """Each operator equals the one rebuilt from its own dense blocks, and
+    apply equals the dense product block(p, q)·v of the oracles' mat_vec."""
+    rng = random.Random(11)
+    cases = [(entry.algebra, entry.acs) for entry in strict_entries]
+    cases += [(algebra, acs) for algebra, acs, _ in instance_pool(21)]
+    cases.append(d2_instances[2])  # filiform-8 under random_acs(seed=0)
+    for algebra, acs in cases:
+        frame = bigraded_frame(algebra, acs)
+        for op in component_operators(algebra, acs).values():
+            assert operator_from_blocks(op, op.blocks) == op
+            w = BigradedForm.from_components(frame, {
+                bid: [GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                       Fraction(rng.choice((0, 0, 1, -2)), rng.randint(1, 4)))
+                      for _ in range(frame.dim(*bid))]
+                for bid in frame.bidegrees()
+            })
+            image = op.apply(w)
+            for (p, q), mat in op.blocks:
+                assert image.component(*op.target(p, q)) == oracle_mat_vec(mat, w.component(p, q))
+
+
 def _blocks_by_name(ops):
     return {name: dict(op.blocks) for name, op in ops.items()}
 
@@ -196,7 +217,7 @@ def test_d2_relations_report_a_corrupted_block(kt, monkeypatch):
     column i of c's (0,1) block to the one relation with a term (c, del_bar);
     no other relation or bidegree sees the corrupted block."""
     import transdolbeault.forms as forms_mod
-    from transdolbeault.forms import _D2_RELATIONS, BigradedOperator
+    from transdolbeault.forms import _D2_RELATIONS
 
     ops = component_operators(kt.algebra, kt.acs)
     frame = bigraded_frame(kt.algebra, kt.acs)
@@ -211,7 +232,7 @@ def test_d2_relations_report_a_corrupted_block(kt, monkeypatch):
     blocks = tuple(
         (bid, tuple(map(tuple, bad)) if bid == (0, 0) else mat) for bid, mat in del_bar.blocks
     )
-    corrupted = dict(ops, del_bar=BigradedOperator(frame, del_bar.shift, blocks))
+    corrupted = dict(ops, del_bar=operator_from_blocks(del_bar, blocks))
     monkeypatch.setattr(forms_mod, "component_operators", lambda algebra, acs: corrupted)
     expected = tuple(
         (name, (0, 0))
@@ -263,7 +284,7 @@ def test_d2_relations_match_dense_oracle_on_corrupted_operators(d2_instances, da
         c = data.draw(st.integers(0, len(mat[0]) - 1))
         mat[r][c] = data.draw(_corruption_values)
     corrupted = {
-        name: BigradedOperator(op.frame, op.shift, tuple(
+        name: operator_from_blocks(op, tuple(
             (bid, tuple(map(tuple, mat))) for (bid, _), mat in zip(op.blocks, blocks[name])
         ))
         for name, op in ops.items()
