@@ -61,9 +61,6 @@ from .linalg import (
     Subspace,
     basis_vector,
     induced_map_on_quotient,
-    rref,
-    subspace_contains,
-    subspace_intersection,
     subspace_sum,
 )
 from .scalars import GaussianRational

@@ -18,12 +18,9 @@ from .linalg import (
     as_matrix,
     basis_vector,
     conj_vector,
-    identity_matrix,
     mat_inverse,
-    mat_mul,
     mat_vec,
     rref_rows,
-    scale_vector,
     sub_vectors,
     transpose,
 )
@@ -38,6 +35,7 @@ __all__ = [
     "nijenhuis",
     "nijenhuis_image",
     "lie_derivative_endo",
+    "square_defect",
 ]
 
 _HALF = GaussianRational.of(1) / 2
@@ -61,13 +59,12 @@ class AlmostComplexStructure:
         if self.mod_h is None:
             if n % 2:
                 raise ShapeError(f"strict almost complex structure needs even dimension, got {n}")
-            sq = mat_mul(self.J, self.J)
-            if sq != tuple(scale_vector(-1, r) for r in identity_matrix(n)):
-                cols = _square_defect_columns(self.J)
+            cols = tuple(square_defect(self.J))
+            if cols:
                 raise ValidationError(f"J^2 != -Id; offending columns {cols}")
         else:
             # mod-h invariants (J(h) ⊆ h, J^2 = -Id mod h, even codimension) are
-            # report-checked by homogeneous.validate_pair, not enforced here
+            # checked once per homogeneous.HomogeneousPair (its violations), not enforced here
             if self.mod_h.ambient_dim != n:
                 raise ShapeError("mod_h ambient dimension must match J")
 
@@ -87,16 +84,15 @@ class AlmostComplexStructure:
         return mat_vec(self.J, v)
 
 
-def _square_defect_columns(J):
-    n = len(J)
-    sq = mat_mul(J, J)
-    bad = []
-    for a in range(n):
-        col = tuple(sq[i][a] for i in range(n))
-        target = scale_vector(-1, basis_vector(n, a))
-        if col != target:
-            bad.append(a)
-    return tuple(bad)
+def square_defect(J):
+    """{a: column a of J^2 + Id} for every column that is not zero, in column order."""
+    out = {}
+    for a, col in enumerate(transpose(J)):
+        v = mat_vec(J, col)
+        v = v[:a] + (v[a] + 1,) + v[a + 1:]
+        if any(v):
+            out[a] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ def validate_acs(algebra, J):
         raise ShapeError(f"J must be {n}x{n}")
     if n % 2:
         raise ShapeError(f"strict almost complex structure needs even dimension, got {n}")
-    bad = _square_defect_columns(J)
+    bad = tuple(square_defect(J))
     return ACSReport(valid=not bad, failing_columns=bad)
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .acs import AlmostComplexStructure, nijenhuis_image
-from .errors import UnknownCatalogEntry, ValidationError
+from .errors import ShapeError, UnknownCatalogEntry, ValidationError
 from .flag import classify
 from .lie import LieAlgebra
-from .linalg import Subspace, mat_inverse, mat_mul, mat_rank
+from .linalg import Subspace, mat_inverse, mat_mul
 from .scalars import GaussianRational, ZERO, ONE
 from .schema import parse_entry
 
@@ -92,7 +92,8 @@ def catalog_get(name, n=None):
 def random_acs(algebra, seed):
     """J = P J0 P^{-1} for a seeded random invertible integer P, entries in -2..2.
 
-    Deterministic per (algebra, seed); always satisfies J^2 = -Id.
+    Deterministic per (algebra, seed); always satisfies J^2 = -Id. A singular
+    draw is skipped; ValidationError if 64 draws in a row are singular.
     """
     n = algebra.dim
     if n % 2:
@@ -104,8 +105,9 @@ def random_acs(algebra, seed):
             tuple(GaussianRational.of(rng.randint(-2, 2)) for _ in range(n))
             for _ in range(n)
         )
-        if mat_rank(p) != n:
+        try:
+            inverse = mat_inverse(p)
+        except ShapeError:  # singular draw
             continue
-        j = mat_mul(mat_mul(p, j0), mat_inverse(p))
-        return AlmostComplexStructure(j)
-    raise RuntimeError("could not draw an invertible matrix in 64 attempts")
+        return AlmostComplexStructure(mat_mul(mat_mul(p, j0), inverse))
+    raise ValidationError("could not draw an invertible matrix in 64 attempts")

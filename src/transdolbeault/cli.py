@@ -14,7 +14,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .acs import validate_acs
+from .acs import AlmostComplexStructure, validate_acs
 from .catalog import catalog_get, random_acs
 from .cohomology import (
     compare_p0,
@@ -39,7 +39,6 @@ from .homogeneous import (
     validate_pair,
 )
 from .lie import validate_lie_algebra
-from .linalg import Subspace
 from .scalars import rational_to_str
 from .schema import dumps_canonical, load_entry_file
 
@@ -146,8 +145,6 @@ def _cmd_validate(config):
         doc["acs_failing_columns"] = [c + 1 for c in report.failing_columns]
         valid = jacobi.valid and report.valid
     else:
-        from .acs import AlmostComplexStructure
-
         pair = HomogeneousPair(algebra, h, AlmostComplexStructure(j_rows, mod_h=h))
         report = validate_pair(pair)
         doc["pair_valid"] = report.valid
@@ -214,11 +211,9 @@ def _cmd_cohomology(config):
 def _cmd_homogeneous(config):
     algebra, acs, h, _ = _load(config)
     if h is None:
-        h = Subspace.zero(algebra.dim)
-        from .acs import AlmostComplexStructure
-
-        acs = AlmostComplexStructure(acs.J, mod_h=h)
-    pair = HomogeneousPair(algebra, h, acs)
+        pair = HomogeneousPair.lie_group(algebra, acs)
+    else:
+        pair = HomogeneousPair(algebra, h, acs)
     report = validate_pair(pair)
     if not report.valid:
         doc = {"pair_valid": False, "violations": [d for d, _ in report.violations]}

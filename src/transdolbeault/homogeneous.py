@@ -8,15 +8,21 @@ left-invariant Lie-group case and must agree with the strict-mode kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from .acs import AlmostComplexStructure, nijenhuis, nijenhuis_image
+from .acs import (
+    AlmostComplexStructure,
+    lie_derivative_endo,
+    nijenhuis,
+    nijenhuis_image,
+    square_defect,
+)
 from .cohomology import transverse_structure_report
 from .errors import PreconditionError, ShapeError
 from .flag import closure_witness
-from .lie import LieAlgebra, bracket, bracket_escape, subalgebra_report
-from .linalg import Subspace, basis_vector, mat_vec, sub_vectors, subspace_sum
+from .lie import LieAlgebra, bracket_escape, subalgebra_report
+from .linalg import Subspace, subspace_sum, transpose
 from .scalars import GaussianRational
 
 __all__ = [
@@ -32,15 +38,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HomogeneousPair:
-    """g with stabilizer subalgebra h and a lift J normalized to preserve h."""
+    """g with stabilizer subalgebra h and a lift J normalized to preserve h.
+
+    ``violations`` holds the ``(description, witness)`` pairs of every pair
+    condition that fails (see validate_pair). The pair is immutable, so they
+    are computed once, here; they take no part in equality.
+    """
 
     algebra: LieAlgebra
     h: Subspace
     acs: AlmostComplexStructure
+    violations: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.h.ambient_dim != self.algebra.dim:
             raise ShapeError("h must live in the algebra's ambient space")
+        object.__setattr__(self, "violations", _pair_violations(self.algebra, self.h, self.acs))
 
     @classmethod
     def lie_group(cls, algebra, acs):
@@ -57,51 +70,42 @@ class PairReport:
         return not self.violations
 
 
-def validate_pair(pair):
-    """h must be a subalgebra; J must preserve h and square to -Id mod h."""
-    algebra, h, J = pair.algebra, pair.h, pair.acs.J
+def _pair_violations(algebra, h, acs):
     n = algebra.dim
     violations = []
     escape = bracket_escape(algebra, h)
     if escape is not None:
         violations.append(("h is not a subalgebra", escape))
-    moved = closure_witness(algebra, pair.acs, h, ("j_stable",))
+    moved = closure_witness(algebra, acs, h, ("j_stable",))
     if moved is not None:
         violations.append(("J does not preserve h", (moved["vector"], moved["image"])))
     if (n - h.rank) % 2:
         violations.append(("dim g - dim h is odd", (n, h.rank)))
-    for a in range(n):
-        ea = basis_vector(n, a)
-        v = mat_vec(J, mat_vec(J, ea))
-        defect = tuple(x + y for x, y in zip(v, ea))
-        if not h.contains(defect):
-            violations.append(("(J^2 + Id)(g) is not contained in h", (a, defect)))
-            break
-    return PairReport(tuple(violations))
+    outside = next(((a, v) for a, v in square_defect(acs.J).items() if not h.contains(v)), None)
+    if outside is not None:
+        violations.append(("(J^2 + Id)(g) is not contained in h", outside))
+    return tuple(violations)
+
+
+def validate_pair(pair):
+    """h must be a subalgebra; J must preserve h and square to -Id mod h."""
+    return PairReport(pair.violations)
 
 
 def _require_valid(pair):
-    report = validate_pair(pair)
-    if not report.valid:
-        raise PreconditionError(f"invalid homogeneous pair: {report.violations[0][0]}")
-    return pair
+    if pair.violations:
+        raise PreconditionError(f"invalid homogeneous pair: {pair.violations[0][0]}")
 
 
 def invariance_check(pair):
-    """Infinitesimal invariance: [H, JA] - J[H, A] ∈ h for H ∈ h, A ∈ g."""
+    """Infinitesimal invariance: [H, JA] - J[H, A] ∈ h for H ∈ h, A ∈ g.
+
+    That is Im(L_H J) ⊆ h for H over a basis of h; the witness is
+    closure_witness's "lie_derivative" dict, or None.
+    """
     _require_valid(pair)
-    algebra, h, J = pair.algebra, pair.h, pair.acs.J
-    n = algebra.dim
-    for hrow in h.basis:
-        for a in range(n):
-            ea = basis_vector(n, a)
-            defect = sub_vectors(
-                bracket(algebra, hrow, mat_vec(J, ea)),
-                mat_vec(J, bracket(algebra, hrow, ea)),
-            )
-            if not h.contains(defect):
-                return {"invariant": False, "witness": (hrow, a, defect)}
-    return {"invariant": True, "witness": None}
+    witness = closure_witness(pair.algebra, pair.acs, pair.h, ("lie_derivative",))
+    return {"invariant": witness is None, "witness": witness}
 
 
 def base_nijenhuis(pair, a, b):
@@ -117,36 +121,39 @@ def base_nijenhuis(pair, a, b):
     return pair.h.reduce(nijenhuis(pair.algebra, pair.acs, a, b))
 
 
-def minimal_homogeneous_check(pair):
-    """[JA, N^J(B,C)] − J[A, N^J(B,C)] ∈ Im N^J + h over all basis triples.
+def _image_data(pair):
+    """(Im N^J, Im N^J + h, its subalgebra_report, minimality witness or None).
 
-    Short-circuits when Im N^J + h is an ideal (containment is then automatic).
+    [JA, w] − J[A, w] = −(L_w J)(A) is linear in A and w, and Im N^J is
+    spanned by the N^J values on basis pairs, so the criterion holds iff
+    Im(L_u J) ⊆ Im N^J + h for u over the echelon basis of Im N^J. When
+    Im N^J + h is an ideal that is automatic and no witness is sought.
+    """
+    algebra, acs = pair.algebra, pair.acs
+    image = nijenhuis_image(algebra, acs)
+    target = subspace_sum(image, pair.h)
+    closure = subalgebra_report(algebra, target)
+    witness = None
+    if not closure.is_ideal:
+        witness = next((
+            {"u": u, "value": col}
+            for u in image.basis
+            for col in transpose(lie_derivative_endo(algebra, acs, u))
+            if not target.contains(col)
+        ), None)
+    return image, target, closure, witness
+
+
+def minimal_homogeneous_check(pair):
+    """[JA, N^J(B,C)] − J[A, N^J(B,C)] ∈ Im N^J + h for all A, B, C in g.
+
+    Tested as Im(L_u J) ⊆ Im N^J + h over a basis u of Im N^J, short-circuited
+    when Im N^J + h is an ideal (via_ideal_shortcut). The witness is
+    {"u": u, "value": a column of L_u J outside Im N^J + h}, or None.
     """
     _require_valid(pair)
-    algebra, J = pair.algebra, pair.acs.J
-    n = algebra.dim
-    target = subspace_sum(nijenhuis_image(algebra, pair.acs), pair.h)
-    if subalgebra_report(algebra, target).is_ideal:
-        return {"holds": True, "witness": None, "via_ideal_shortcut": True}
-    nvals = {}
-    for i, j in combinations(range(n), 2):
-        w = nijenhuis(algebra, pair.acs, basis_vector(n, i), basis_vector(n, j))
-        if any(w):
-            nvals[(i, j)] = w
-    for a in range(n):
-        ea = basis_vector(n, a)
-        jea = mat_vec(J, ea)
-        for (i, j), w in nvals.items():
-            defect = sub_vectors(
-                bracket(algebra, jea, w), mat_vec(J, bracket(algebra, ea, w))
-            )
-            if not target.contains(defect):
-                return {
-                    "holds": False,
-                    "witness": {"A": a, "BC": (i, j), "defect": defect},
-                    "via_ideal_shortcut": False,
-                }
-    return {"holds": True, "witness": None, "via_ideal_shortcut": False}
+    _, _, closure, witness = _image_data(pair)
+    return {"holds": witness is None, "witness": witness, "via_ideal_shortcut": closure.is_ideal}
 
 
 def fibration_report(pair):
@@ -155,25 +162,17 @@ def fibration_report(pair):
     dim_im_N counts the distribution on g/h, i.e. dim((Im N^J + h)/h).
     fibers_complex uses the dim-2 shortcut, else tests N^J on Im N^J pairs.
     """
-    check = minimal_homogeneous_check(pair)
-    if not check["holds"]:
-        return {"applicable": False, "reason": "minimality criterion fails", "witness": check["witness"]}
+    _require_valid(pair)
     algebra = pair.algebra
-    image = nijenhuis_image(algebra, pair.acs)
-    target = subspace_sum(image, pair.h)
+    image, target, closure, witness = _image_data(pair)
+    if witness is not None:
+        return {"applicable": False, "reason": "minimality criterion fails", "witness": witness}
     dim_mod_h = target.rank - pair.h.rank
-    closure = subalgebra_report(algebra, target)
-    if dim_mod_h == 2:
-        fibers_complex = True
-        via_dim2 = True
-    else:
-        via_dim2 = False
-        fibers_complex = True
-        for u, v in combinations(image.basis, 2):
-            w = nijenhuis(algebra, pair.acs, u, v)
-            if not pair.h.contains(w):
-                fibers_complex = False
-                break
+    via_dim2 = dim_mod_h == 2
+    fibers_complex = via_dim2 or all(
+        pair.h.contains(nijenhuis(algebra, pair.acs, u, v))
+        for u, v in combinations(image.basis, 2)
+    )
     transverse = transverse_structure_report(algebra, pair.acs, target)
     return {
         "applicable": True,

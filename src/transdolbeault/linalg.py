@@ -34,13 +34,10 @@ __all__ = [
     "combine_rows",
     "mat_inverse",
     "mat_rank",
-    "rref",
     "rref_rows",
     "kernel",
     "column_space",
     "subspace_sum",
-    "subspace_contains",
-    "subspace_intersection",
     "solve_in_rows",
     "solve_many_in_rows",
     "quotient_representatives",
@@ -276,15 +273,6 @@ class Subspace:
         return not self.basis
 
 
-def rref(rows):
-    """Canonical echelon span of the given rows, with its rank."""
-    rows = as_matrix(rows)
-    if not rows:
-        raise ShapeError("rref needs at least one row to infer the ambient dimension")
-    sub = Subspace(len(rows[0]), rref_rows(rows)[0])
-    return sub, sub.rank
-
-
 def subspace_sum(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise ShapeError(
@@ -295,24 +283,6 @@ def subspace_sum(a, b):
     if b.is_zero():
         return a
     return Subspace.from_rows(a.ambient_dim, a.basis + b.basis)
-
-
-def subspace_contains(a, v):
-    return a.contains(v)
-
-
-def subspace_intersection(a, b):
-    """a ∩ b via the kernel of the stacked-basis system."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ShapeError(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    if a.is_zero() or b.is_zero():
-        return Subspace.zero(a.ambient_dim)
-    stacked = a.basis + b.basis
-    null = kernel(transpose(stacked), ncols=len(stacked))
-    gens = [combine_rows(x[: a.rank], a.sparse_basis, a.ambient_dim) for x in null.basis]
-    return Subspace.from_rows(a.ambient_dim, gens)
 
 
 def kernel(m, ncols=None):

@@ -4,14 +4,19 @@ Everything here deliberately avoids the production code paths it checks:
 forms are evaluated as alternating multilinear maps on explicit vector
 tuples, the differential comes from the r<s double-sum formula, and ranks
 are computed by local elimination routines. The elimination oracles
-(oracle_rank, oracle_rref, oracle_kernel, oracle_solve,
+(oracle_rank, oracle_rref, oracle_kernel, oracle_solve, oracle_intersection,
 oracle_quotient_representatives, oracle_reduce) use nothing from
-transdolbeault.linalg; oracle_transverse_module eliminates with them.
+transdolbeault.linalg; oracle_transverse_module,
+largest_graded_dstable_annihilator and module_closure_properties eliminate
+with them, and take only the Subspace container from transdolbeault.linalg
+(a test checks that by parsing this file).
 oracle_nijenhuis uses nothing from transdolbeault.acs, and oracle_d2_failures
 nothing from transdolbeault.forms. oracle_cohomology_dims and
 oracle_comparison_rank present every cohomology as a quotient with
 representatives, induced maps and solves, using only the elimination oracles
 above and nothing from transdolbeault.linalg or transdolbeault.cohomology.
+oracle_invariant, oracle_minimal_criterion and oracle_fibration state the
+homogeneous checks as their definitions, on basis vectors and basis triples.
 """
 
 from functools import lru_cache
@@ -34,7 +39,8 @@ def mat_vec(m, v):
     for row in m:
         acc = ZERO
         for a, b in zip(row, v):
-            acc = acc + a * b
+            if a and b:
+                acc = acc + a * b
         out.append(acc)
     return tuple(out)
 
@@ -158,6 +164,16 @@ def oracle_kernel(rows, ncols):
             v[p] = -row[free]
         gens.append(v)
     return oracle_rref(gens)[0] if gens else ()
+
+
+def oracle_intersection(a, b, ncols):
+    """Canonical echelon basis of span(a) ∩ span(b) in Q(i)^ncols.
+
+    A span is the common kernel of the rows of its annihilator (kernel of the
+    rows), so the intersection is the kernel of both annihilators stacked.
+    """
+    annihilators = list(oracle_kernel(list(a), ncols)) + list(oracle_kernel(list(b), ncols))
+    return oracle_kernel(annihilators, ncols)
 
 
 def oracle_transverse_module(algebra, acs, vectors):
@@ -303,7 +319,7 @@ def largest_graded_dstable_annihilator(algebra, acs):
     annihilated by contraction with Im N^J. The transverse module must equal it."""
     from transdolbeault.acs import nijenhuis_image
     from transdolbeault.forms import bigraded_frame
-    from transdolbeault.linalg import Subspace, kernel, subspace_intersection
+    from transdolbeault.linalg import Subspace
 
     frame = bigraded_frame(algebra, acs)
     coords = [frame.w_coords(v) for v in nijenhuis_image(algebra, acs).basis]
@@ -316,16 +332,13 @@ def largest_graded_dstable_annihilator(algebra, acs):
             for ci, c in enumerate(coords):
                 for tgt, val in frame.contract_flat(c, {mono: ONE}).items():
                     rows.setdefault((ci, tgt), [ZERO] * dim)[j] = val
-        spaces[(p, q)] = (
-            kernel(tuple(tuple(r) for r in rows.values()), ncols=dim)
-            if rows else Subspace.full(dim)
-        )
+        spaces[(p, q)] = oracle_kernel(list(rows.values()), dim)
     changed = True
     while changed:
         changed = False
         for p, q in frame.bidegrees():
             space = spaces[(p, q)]
-            if space.is_zero():
+            if not space:
                 continue
             dim = frame.dim(p, q)
             rowmap = {}
@@ -338,23 +351,21 @@ def largest_graded_dstable_annihilator(algebra, acs):
                     idx = frame.mono_index(*bid)
                     for tgt, c in part.items():
                         vec[idx[tgt]] = c
-                    for t, val in enumerate(spaces[bid].reduce(tuple(vec))):
+                    for t, val in enumerate(oracle_reduce(spaces[bid], vec)):
                         if val:
                             rowmap.setdefault((bid, t), [ZERO] * dim)[j] = val
             if rowmap:
-                ker = kernel(tuple(tuple(r) for r in rowmap.values()), ncols=dim)
-                nxt = subspace_intersection(space, ker)
+                nxt = oracle_intersection(space, oracle_kernel(list(rowmap.values()), dim), dim)
                 if nxt != space:
                     spaces[(p, q)] = nxt
                     changed = True
-    return spaces
+    return {bid: Subspace(frame.dim(*bid), rows) for bid, rows in spaces.items()}
 
 
 def module_closure_properties(algebra, acs, module):
     """(annihilates Im N^J, d-stable, splits by bidegree) for a graded module."""
     from transdolbeault.acs import nijenhuis_image
     from transdolbeault.forms import bigraded_frame
-    from transdolbeault.linalg import Subspace, kernel
 
     frame = bigraded_frame(algebra, acs)
     spaces = dict(module.spaces) if hasattr(module, "spaces") else dict(module)
@@ -380,7 +391,7 @@ def module_closure_properties(algebra, acs, module):
                 idx = frame.mono_index(*bid)
                 for tgt, c in part.items():
                     pvec[idx[tgt]] = c
-                if not spaces[bid].contains(tuple(pvec)):
+                if any(oracle_reduce(spaces[bid].basis, pvec)):
                     d_stable = False
     # splitting: the ungraded joint kernel on each total degree decomposes into
     # the per-bidegree kernels (contraction/Lie constraints mix bidegrees a
@@ -409,13 +420,9 @@ def module_closure_properties(algebra, acs, module):
                     for fi, lco in enumerate(f_lie):
                         for tgt, val in frame.lie_flat(lco, {mono: ONE}).items():
                             rows.setdefault(("l", fi, tgt), [ZERO] * total)[colidx] = val
-            if rows:
-                joint = kernel(tuple(tuple(r) for r in rows.values()), ncols=total)
-            else:
-                from transdolbeault.linalg import Subspace as _S
-                joint = _S.full(total)
+            joint = oracle_kernel(list(rows.values()), total)
             graded_dim = sum(spaces[bid].rank for bid in bids)
-            if joint.rank != graded_dim:
+            if len(joint) != graded_dim:
                 splits = False
     return annihilates, d_stable, splits
 
@@ -590,3 +597,122 @@ def oracle_comparison_rank(blocks_by_name, module_bases):
             cols.append(_oracle_coords(cw_reps + cw_im, cls)[: len(cw_reps)])
         out[bid] = oracle_rank(cols) if cols and cw_reps else 0
     return out
+
+
+# -- homogeneous checks from their definitions -----------------------------------
+
+def _oracle_span(rows):
+    rows = [r for r in rows if any(r)]
+    return oracle_rref(rows)[0] if rows else ()
+
+
+def _oracle_inside(ech, v):
+    return not any(oracle_reduce(ech, v))
+
+
+def _oracle_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _oracle_n_mod_h(algebra, J, x, y):
+    """N^J in the homogeneous normalization [Jx,Jy] - J[Jx,y] - J[x,Jy] - [x,y]."""
+    jx, jy = mat_vec(J, x), mat_vec(J, y)
+    out = _oracle_sub(bracket(algebra, jx, jy), mat_vec(J, bracket(algebra, jx, y)))
+    out = _oracle_sub(out, mat_vec(J, bracket(algebra, x, jy)))
+    return _oracle_sub(out, bracket(algebra, x, y))
+
+
+@lru_cache(maxsize=1)
+def _oracle_image_plus_h(algebra, J, h_rows):
+    """(N^J on every basis pair, echelon basis of Im N^J + h); memoized on the last input."""
+    n = algebra.dim
+    e = [basis_vector(n, i) for i in range(n)]
+    values = [_oracle_n_mod_h(algebra, J, e[i], e[j]) for i, j in combinations(range(n), 2)]
+    return values, _oracle_span(values + list(h_rows))
+
+
+def oracle_invariant(algebra, J, h_rows):
+    """[H, JA] - J[H, A] ∈ h for every row H of h_rows and every basis vector A."""
+    n = algebra.dim
+    h = _oracle_span(h_rows)
+    return all(
+        _oracle_inside(h, _oracle_sub(
+            bracket(algebra, hrow, mat_vec(J, basis_vector(n, a))),
+            mat_vec(J, bracket(algebra, hrow, basis_vector(n, a))),
+        ))
+        for hrow in h_rows
+        for a in range(n)
+    )
+
+
+def _oracle_is_ideal(algebra, ech):
+    n = algebra.dim
+    return all(
+        _oracle_inside(ech, bracket(algebra, basis_vector(n, i), v)) for i in range(n) for v in ech
+    )
+
+
+@lru_cache(maxsize=1)
+def oracle_minimal_criterion(algebra, J, h_rows):
+    """(holds, is_ideal): holds iff [JA, N^J(B,C)] - J[A, N^J(B,C)] ∈ Im N^J + h
+    for every basis vector A and basis pair B < C; is_ideal says whether
+    Im N^J + h is an ideal of g. Memoized on the last input (J and h_rows are
+    tuples), so oracle_fibration on the same pair reuses it."""
+    n = algebra.dim
+    values, target = _oracle_image_plus_h(algebra, J, h_rows)
+    e = [basis_vector(n, a) for a in range(n)]
+    je = [mat_vec(J, v) for v in e]
+    holds = all(
+        _oracle_inside(target, _oracle_sub(
+            bracket(algebra, je[a], w),
+            mat_vec(J, bracket(algebra, e[a], w)),
+        ))
+        for a in range(n)
+        for w in values
+    )
+    return holds, _oracle_is_ideal(algebra, target)
+
+
+def oracle_fibration(algebra, J, h_rows):
+    """fibration_report's fields other than the witness, from the definitions.
+
+    Fibers are complex when dim((Im N^J + h)/h) = 2 or N^J maps every pair of
+    basis-pair values of N^J into h; the transverse structure needs Im N^J + h
+    to be J-stable, bracket-closed, and to hold [U, JA] - J[U, A] for every U
+    in it and every basis vector A.
+    """
+    n = algebra.dim
+    holds, is_ideal = oracle_minimal_criterion(algebra, J, h_rows)
+    if not holds:
+        return {"applicable": False, "reason": "minimality criterion fails"}
+    values, target = _oracle_image_plus_h(algebra, J, h_rows)
+    h = _oracle_span(h_rows)
+    dim_im_n = len(target) - len(h)
+    is_subalgebra = all(
+        _oracle_inside(target, bracket(algebra, u, v)) for u, v in combinations(target, 2)
+    )
+    fibers = dim_im_n == 2 or all(
+        _oracle_inside(h, _oracle_n_mod_h(algebra, J, u, v)) for u, v in combinations(values, 2)
+    )
+    e = [basis_vector(n, a) for a in range(n)]
+    transverse = (
+        all(_oracle_inside(target, mat_vec(J, v)) for v in target)
+        and is_subalgebra
+        and all(
+            _oracle_inside(target, _oracle_sub(
+                bracket(algebra, u, mat_vec(J, e[a])),
+                mat_vec(J, bracket(algebra, u, e[a])),
+            ))
+            for u in target
+            for a in range(n)
+        )
+    )
+    return {
+        "applicable": True,
+        "dim_im_N": dim_im_n,
+        "is_subalgebra": is_subalgebra,
+        "is_ideal": is_ideal,
+        "fibers_complex": fibers,
+        "via_dim2_shortcut": dim_im_n == 2,
+        "transverse_complex_structure": transverse,
+    }

@@ -290,6 +290,62 @@ def test_transverse_closure_failure_exits_2_without_traceback(corrupt_block, cap
     assert capsys.readouterr().err == f"theorem violation (internal bug): {message}\n"
 
 
+@pytest.mark.parametrize("name, bid, source, theory, message", [
+    ("del_bar", (0, 0), "iwasawa", "cw",
+     "induced del_bar does not square to zero: del_bar(del_bar(Ker mu_bar)) is not contained "
+     "in Im mu_bar at bidegree (0, 2)"),
+    ("del_bar", (0, 0), "iwasawa", "trans",
+     "del_bar does not square to zero on the transverse module at bidegree (0, 0)"),
+    ("del_bar", (1, 2), "heisenberg5_plus_r", "cw",
+     "del_bar(Im mu_bar) is not contained in Im mu_bar at bidegree (1, 3)"),
+    # mu_bar out of (1, 2) lands in (0, 4), so this needs m >= 4: filiform-8
+    ("mu_bar", (1, 2), "filiform8", "cw",
+     "Im mu_bar escaped Ker mu_bar at bidegree (1, 2) (mu_bar^2 != 0)"),
+], ids=["induced_square", "transverse_square", "image_inclusion", "mu_bar_square"])
+def test_cohomology_theorem_checks_exit_2_without_traceback(
+    corrupt_block, capsys, tmp_path, name, bid, source, theory, message
+):
+    """Each identity the cohomology pipelines check is reached by a corrupted block."""
+    if source == "filiform8":
+        from transdolbeault.acs import AlmostComplexStructure
+        from transdolbeault.catalog import standard_j
+        from transdolbeault.lie import LieAlgebra
+
+        filiform = LieAlgebra.from_brackets(8, {(0, i): {i + 1: 1} for i in range(1, 7)})
+        path = tmp_path / "filiform8.json"
+        path.write_text(dumps_canonical(entry_to_dict(filiform, AlmostComplexStructure(standard_j(8)))))
+        args = ["--input", str(path), "--seed", "0"]
+    else:
+        args = ["--catalog", source]
+    corrupt_block(name, bid)
+    assert main(["cohomology", "--theory", theory, *args]) == 2
+    assert capsys.readouterr().err == f"theorem violation (internal bug): {message}\n"
+
+
+def test_random_acs_exhausted_draws_exit_1_without_traceback(monkeypatch, capsys):
+    """Sixty-four singular draws in a row are a validation error, not a RuntimeError."""
+    from types import SimpleNamespace
+
+    import transdolbeault.catalog as catalog_mod
+
+    draws = []
+
+    class AllZero:
+        def __init__(self, seed):
+            pass
+
+        def randint(self, lo, hi):
+            draws.append((lo, hi))
+            return 0
+
+    monkeypatch.setattr(catalog_mod, "random", SimpleNamespace(Random=AllZero))
+    assert main(["classify", "--catalog", "kodaira_thurston", "--seed", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: could not draw an invertible matrix in 64 attempts\n"
+    )
+    assert len(draws) == 64 * 4 * 4
+
+
 def test_form_serialization_roundtrip(kt):
     import random
 

@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import instance_pool
-from oracles import oracle_nijenhuis
-from transdolbeault.acs import AlmostComplexStructure, nijenhuis
+from conftest import direct_sum, instance_pool, mod_h_pairs, sphere_product_pairs
+from oracles import oracle_fibration, oracle_invariant, oracle_minimal_criterion, oracle_nijenhuis
+from transdolbeault.acs import AlmostComplexStructure, nijenhuis, nijenhuis_image
 from transdolbeault.catalog import catalog_get, random_acs
+from transdolbeault.cli import RunConfig, execute
 from transdolbeault.errors import PreconditionError
 from transdolbeault.flag import t10_derived_involutive
 from transdolbeault.homogeneous import (
@@ -25,6 +27,7 @@ from transdolbeault.linalg import (
     basis_vector,
     mat_vec,
     scale_vector,
+    subspace_sum,
 )
 from transdolbeault.scalars import GaussianRational
 
@@ -191,10 +194,84 @@ def test_fibration_noncomplex_fibers_witness(iwasawa):
     assert not rep["via_dim2_shortcut"]
 
 
-def test_operations_require_valid_pair(su2):
+@pytest.mark.parametrize("operation", [
+    invariance_check,
+    minimal_homogeneous_check,
+    fibration_report,
+    lambda pair: base_nijenhuis(pair, basis_vector(3, 0), basis_vector(3, 1)),
+], ids=["invariance_check", "minimal_homogeneous_check", "fibration_report", "base_nijenhuis"])
+def test_operations_require_valid_pair(su2, operation):
     L = su2.algebra
     h = Subspace.from_rows(3, [basis_vector(3, 0)])
     j = as_matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
     pair = HomogeneousPair(L, h, AlmostComplexStructure(j, mod_h=h))
-    with pytest.raises(PreconditionError):
-        base_nijenhuis(pair, basis_vector(3, 0), basis_vector(3, 1))
+    assert validate_pair(pair).violations == pair.violations != ()
+    with pytest.raises(PreconditionError, match="invalid homogeneous pair: J does not preserve h"):
+        operation(pair)
+
+
+def test_checks_match_definition_oracles(su2, kt):
+    """Invariance, the minimality criterion and the fibration fields agree with
+    their definitions (basis vectors and basis triples) on su2, Lie-group pool
+    instances, mod-h pairs with h = span(e_last) and S^2 x S^2 pairs. Among
+    them the criterion fails at least 8 times, invariance fails and the
+    criterion holds without the ideal shortcut at least 10 times each."""
+    pairs = [_pair(su2)]
+    pairs += [HomogeneousPair.lie_group(algebra, acs) for algebra, acs, _ in instance_pool(14, start_seed=700)]
+    triples = mod_h_pairs(4, dims=(3, 5)) + mod_h_pairs(2, dims=(7,)) + sphere_product_pairs()
+    # direct sums: the criterion holding on a summand with Im N^J ≠ 0 only
+    # because of h (against su2, whose Im N^J + h = h is not an ideal), and
+    # failing only at a later basis vector of Im N^J (KT's image comes first)
+    su2_triple = (su2.algebra, su2.acs, su2.h)
+    triples += [direct_sum(triple, su2_triple) for triple in mod_h_pairs(2, dims=(3, 5))]
+    r2r2 = LieAlgebra.from_brackets(4, {(0, 1): {1: 1}, (2, 3): {3: 1}})
+    triples += [
+        direct_sum((kt.algebra, kt.acs, Subspace.zero(4)), (r2r2, random_acs(r2r2, seed), Subspace.zero(4)))
+        for seed in range(3)
+    ]
+    pairs += [HomogeneousPair(algebra, h, acs) for algebra, acs, h in triples]
+    seen = Counter()
+    for pair in pairs:
+        algebra, J, h_rows = pair.algebra, pair.acs.J, pair.h.basis
+        assert pair.violations == ()
+        invariant = invariance_check(pair)["invariant"]
+        assert invariant == oracle_invariant(algebra, J, h_rows)
+        holds, is_ideal = oracle_minimal_criterion(algebra, J, h_rows)
+        check = minimal_homogeneous_check(pair)
+        assert (check["holds"], check["via_ideal_shortcut"]) == (holds, is_ideal)
+        if not holds:
+            image = nijenhuis_image(algebra, pair.acs)
+            assert image.contains(check["witness"]["u"])
+            assert not subspace_sum(image, pair.h).contains(check["witness"]["value"])
+        fib = fibration_report(pair)
+        assert {k: v for k, v in fib.items() if k != "witness"} == oracle_fibration(algebra, J, h_rows)
+        seen[(invariant, holds, is_ideal)] += 1
+    assert sum(n for (_, holds, _), n in seen.items() if not holds) >= 8
+    assert sum(n for (invariant, _, _), n in seen.items() if not invariant) >= 10
+    assert sum(n for (_, holds, ideal), n in seen.items() if holds and not ideal) >= 10
+
+
+@pytest.mark.parametrize("kw", [
+    {"catalog": "iwasawa", "seed": 1},
+    {"catalog": "su2_mod_u1"},
+    {"catalog": "kodaira_thurston", "seed": 1},
+], ids=["iwasawa-1", "su2", "kt-1"])
+def test_homogeneous_command_checks_the_pair_once(monkeypatch, kw):
+    """One `homogeneous` command validates its pair once and builds the
+    subalgebra report of Im N^J + h at most twice (once per check that reads it)."""
+    import transdolbeault.homogeneous as hom
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(hom, "_pair_violations", counted("validate", hom._pair_violations))
+    monkeypatch.setattr(hom, "subalgebra_report", counted("subalgebra", hom.subalgebra_report))
+    status, _ = execute(RunConfig("homogeneous", fmt="json", **kw))
+    assert status == 0
+    assert calls["validate"] == 1
+    assert 1 <= calls["subalgebra"] <= 2
