@@ -54,7 +54,7 @@ class AlmostComplexStructure:
         n = len(self.J)
         if any(len(row) != n for row in self.J):
             raise ShapeError("J must be square")
-        if any(c.im for row in self.J for c in row):
+        if any(c.triple[1] for row in self.J for c in row):
             raise ValidationError("J must have rational (real) entries")
         if self.mod_h is None:
             if n % 2:

@@ -25,7 +25,7 @@ from .acs import split_10_01
 from .errors import ShapeError, TheoremViolationError
 from .lie import bracket
 from .linalg import combine_rows, dot
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = [
     "BigradedFrame",
@@ -151,6 +151,7 @@ class BigradedFrame:
         out = {}
         d_gen = self.d_gen
         for mono, c in flat.items():
+            unit = c == ONE
             for pos, g in enumerate(mono):
                 dg = d_gen[g]
                 if not dg:
@@ -160,7 +161,9 @@ class BigradedFrame:
                 for (b, cc), dcoef in dg.items():
                     sgn, tgt = _sort_with_sign(head + (b, cc) + tail)
                     if sgn:
-                        val = c * dcoef * (sgn * pos_sign)
+                        val = dcoef if unit else c * dcoef
+                        if sgn != pos_sign:
+                            val = -val
                         acc = out.get(tgt)
                         out[tgt] = val if acc is None else acc + val
         return {k: v for k, v in out.items() if v}
@@ -218,7 +221,7 @@ class BigradedFrame:
         cols = {name: [] for name in SHIFTS}
         for mono in self.mono_basis(p, q):
             parts = {name: [] for name in SHIFTS}
-            for tgt, c in self.d_flat({mono: GaussianRational.of(1)}).items():
+            for tgt, c in self.d_flat({mono: ONE}).items():
                 bid = self.bidegree_of(tgt)
                 if bid not in targets:
                     raise TheoremViolationError(
@@ -474,9 +477,10 @@ def verify_d2_relations(algebra, acs):
     """Check the seven component identities equivalent to d∘d = 0, column by column.
 
     The check reads the operators' sparse columns and runs in Gaussian
-    integers. Let L be the lcm of the re and im denominators of every stored
-    entry; each column is rewritten once as (target index, L·re, L·im) ints,
-    so L·A is integral for every block A. A composite B·A then becomes
+    integers. Each stored entry is a canonical triple (a + b·i)/d, read
+    through GaussianRational.triple; let L be the lcm of every stored d.
+    Each column is rewritten once as (target index, a·(L//d), b·(L//d))
+    ints, so L·A is integral for every block A. A composite B·A then becomes
     (L·B)(L·A) = L²·(B·A), and a relation ΣB_t·A_t vanishes over Q(i)
     exactly when its L²-multiple vanishes in Z[i]. Column j of B·A is
     Σ_k A[k,j]·B[:,k], so no Fraction is formed and each sum runs over the
@@ -485,23 +489,18 @@ def verify_d2_relations(algebra, acs):
     ops = component_operators(algebra, acs)
     frame = bigraded_frame(algebra, acs)
     # cols[(name, p, q)]: the block's columns, rewritten in place below as
-    # (index, L·re, L·im) once L is known; a block with no stored entry is
-    # left out, as it adds nothing to any composite
+    # (index, a·(L//d), b·(L//d)) once L is known; a block with no stored
+    # entry is left out, as it adds nothing to any composite
     cols = {
         (name, p, q): [list(col) for col in block]
         for name, op in ops.items() for (p, q), block in op.columns if any(block)
     }
-    scale = lcm(*{
-        f.denominator
-        for block in cols.values() for col in block for _, x in col for f in (x.re, x.im)
-    })
+    scale = lcm(*{x.triple[2] for block in cols.values() for col in block for _, x in col})
     for block in cols.values():
         for col in block:
-            col[:] = [
-                (i, x.re.numerator * (scale // x.re.denominator),
-                 x.im.numerator * (scale // x.im.denominator))
-                for i, x in col
-            ]
+            for k, (i, x) in enumerate(col):
+                a, b, d = x.triple
+                col[k] = (i, a * (scale // d), b * (scale // d))
 
     def column_nonzero(pairs, j):
         """Whether column j of Σ outer·inner is nonzero. Every term of one

@@ -9,6 +9,7 @@ left-invariant Lie-group case and must agree with the strict-mode kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .acs import (
@@ -42,7 +43,8 @@ class HomogeneousPair:
 
     ``violations`` holds the ``(description, witness)`` pairs of every pair
     condition that fails (see validate_pair). The pair is immutable, so they
-    are computed once, here; they take no part in equality.
+    are computed once, here, and the Im N^J data of the minimality and
+    fibration checks once, on first use; neither takes part in equality.
     """
 
     algebra: LieAlgebra
@@ -59,6 +61,30 @@ class HomogeneousPair:
     def lie_group(cls, algebra, acs):
         """The h = 0 case; accepts a strict acs."""
         return cls(algebra, Subspace.zero(algebra.dim), acs)
+
+    @cached_property
+    def _image_data(self):
+        """(Im N^J, Im N^J + h, its subalgebra_report, minimality witness or None).
+
+        [JA, w] − J[A, w] = −(L_w J)(A) is linear in A and w, and Im N^J is
+        spanned by the N^J values on basis pairs, so the criterion holds iff
+        Im(L_u J) ⊆ Im N^J + h for u over the echelon basis of Im N^J. When
+        Im N^J + h is an ideal that is automatic and no witness is sought.
+        Built once, on first use by a check that has required a valid pair.
+        """
+        algebra, acs = self.algebra, self.acs
+        image = nijenhuis_image(algebra, acs)
+        target = subspace_sum(image, self.h)
+        closure = subalgebra_report(algebra, target)
+        witness = None
+        if not closure.is_ideal:
+            witness = next((
+                {"u": u, "value": col}
+                for u in image.basis
+                for col in transpose(lie_derivative_endo(algebra, acs, u))
+                if not target.contains(col)
+            ), None)
+        return image, target, closure, witness
 
 
 @dataclass(frozen=True)
@@ -121,29 +147,6 @@ def base_nijenhuis(pair, a, b):
     return pair.h.reduce(nijenhuis(pair.algebra, pair.acs, a, b))
 
 
-def _image_data(pair):
-    """(Im N^J, Im N^J + h, its subalgebra_report, minimality witness or None).
-
-    [JA, w] − J[A, w] = −(L_w J)(A) is linear in A and w, and Im N^J is
-    spanned by the N^J values on basis pairs, so the criterion holds iff
-    Im(L_u J) ⊆ Im N^J + h for u over the echelon basis of Im N^J. When
-    Im N^J + h is an ideal that is automatic and no witness is sought.
-    """
-    algebra, acs = pair.algebra, pair.acs
-    image = nijenhuis_image(algebra, acs)
-    target = subspace_sum(image, pair.h)
-    closure = subalgebra_report(algebra, target)
-    witness = None
-    if not closure.is_ideal:
-        witness = next((
-            {"u": u, "value": col}
-            for u in image.basis
-            for col in transpose(lie_derivative_endo(algebra, acs, u))
-            if not target.contains(col)
-        ), None)
-    return image, target, closure, witness
-
-
 def minimal_homogeneous_check(pair):
     """[JA, N^J(B,C)] − J[A, N^J(B,C)] ∈ Im N^J + h for all A, B, C in g.
 
@@ -152,7 +155,7 @@ def minimal_homogeneous_check(pair):
     {"u": u, "value": a column of L_u J outside Im N^J + h}, or None.
     """
     _require_valid(pair)
-    _, _, closure, witness = _image_data(pair)
+    _, _, closure, witness = pair._image_data
     return {"holds": witness is None, "witness": witness, "via_ideal_shortcut": closure.is_ideal}
 
 
@@ -164,7 +167,7 @@ def fibration_report(pair):
     """
     _require_valid(pair)
     algebra = pair.algebra
-    image, target, closure, witness = _image_data(pair)
+    image, target, closure, witness = pair._image_data
     if witness is not None:
         return {"applicable": False, "reason": "minimality criterion fails", "witness": witness}
     dim_mod_h = target.rank - pair.h.rank

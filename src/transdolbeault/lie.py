@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ShapeError, ValidationError
-from .linalg import add_vectors, basis_vector, scale_vector, zero_vector
+from .linalg import add_vectors, basis_vector, scale_vector, sub_vectors, zero_vector
 from .scalars import GaussianRational
 
 __all__ = [
@@ -68,7 +68,7 @@ class LieAlgebra:
                 i, j, sign = j, i, -1
             if (i, j) in merged:
                 raise ValidationError(f"duplicate bracket pair ({i},{j})")
-            if any(c.im for c in vec):
+            if any(c.triple[1] for c in vec):
                 raise ValidationError("structure constants must be real rationals")
             if sign < 0:
                 vec = tuple(-c for c in vec)
@@ -128,10 +128,13 @@ def validate_lie_algebra(algebra):
     n = algebra.dim
     violations = []
     ident = [basis_vector(n, i) for i in range(n)]
+    table = _bracket_table(algebra)  # one cache lookup per call, not one per bracket
+    zero = zero_vector(n)
     for i, j, k in combinations(range(n), 3):
-        s = bracket(algebra, algebra.bracket_basis(i, j), ident[k])
-        s = add_vectors(s, bracket(algebra, algebra.bracket_basis(j, k), ident[i]))
-        s = add_vectors(s, bracket(algebra, algebra.bracket_basis(k, i), ident[j]))
+        s = bracket(algebra, table.get((i, j), zero), ident[k])
+        s = add_vectors(s, bracket(algebra, table.get((j, k), zero), ident[i]))
+        # [[e_k, e_i], e_j] = -[[e_i, e_k], e_j]
+        s = sub_vectors(s, bracket(algebra, table.get((i, k), zero), ident[j]))
         if any(s):
             violations.append(((i, j, k), s))
     return JacobiReport(tuple(violations))

@@ -1,143 +1,231 @@
 """Exact scalar arithmetic over Q(i).
 
 Every matrix, vector and form coefficient in this package is a
-:class:`GaussianRational` ``re + im*i`` with exact ``Fraction`` components.
-Floating point is deliberately absent: ranks and cohomology dimensions are
-integers, and only exact arithmetic makes them decidable.
+:class:`GaussianRational`: one reduced integer triple ``(a, b, d)`` standing
+for ``(a + b*i)/d``, with ``d > 0`` and ``gcd(a, b, d) = 1``. The form is
+canonical, so equality compares three ints, and each operation is integer
+arithmetic plus one three-argument ``math.gcd``. ``re`` and ``im`` are
+exact ``Fraction`` views built on request. Floating point is deliberately
+absent: ranks and cohomology dimensions are integers, and only exact
+arithmetic makes them decidable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["GaussianRational", "ZERO", "ONE", "I", "rational_to_str", "rational_from_str"]
 
-_coercible = (int, Fraction)
+_alloc = object.__new__
+
+
+def _make(a, b, d):
+    """The GaussianRational (a + b*i)/d of a triple already in canonical form."""
+    x = _alloc(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+def _reduced(a, b, d):
+    """The GaussianRational (a + b*i)/d for any ints with d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = _alloc(GaussianRational)  # _make inlined: this runs for most products and sums
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
 
 
 class GaussianRational:
-    """An element of Q(i), stored as two Fractions (always in lowest terms)."""
+    """An element (a + b*i)/d of Q(i), kept with d > 0 and gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    Immutable by convention, as ``Fraction`` is: the triple lives in private
+    slots, and ``re``, ``im`` and ``triple`` are read-only.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @classmethod
-    def _new(cls, re, im):
-        # internal fast path: re, im already Fractions
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        return self
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # reduced with no gcd: a prime p | d divides, to its full power in d,
+        # one reduced denominator, say re's; then p divides neither
+        # re.numerator nor d // re.denominator, so p does not divide a
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @classmethod
     def of(cls, x) -> "GaussianRational":
         """Coerce an int, Fraction or GaussianRational to a GaussianRational."""
         if isinstance(x, cls):
             return x
-        if isinstance(x, _coercible):
-            return cls._new(Fraction(x), Fraction(0))
+        if isinstance(x, int):
+            return _make(int(x), 0, 1)
+        if isinstance(x, Fraction):
+            return _make(x.numerator, 0, x.denominator)
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+
+    # -- components ---------------------------------------------------------
+
+    @property
+    def triple(self) -> tuple:
+        """The canonical ``(a, b, d)`` with value ``(a + b*i)/d``."""
+        return self._a, self._b, self._d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
-            if not (other.re or other.im):
+            c, e, f = other._a, other._b, other._d
+            if not (c or e):
                 return self
-            if not (self.re or self.im):
+            a, b, d = self._a, self._b, self._d
+            if not (a or b):
                 return other
-            return GaussianRational._new(self.re + other.re, self.im + other.im)
-        if isinstance(other, _coercible):
-            return GaussianRational._new(self.re + other, self.im)
+            if d == f:
+                if d == 1:
+                    return _make(a + c, b + e, 1)
+                return _reduced(a + c, b + e, d)
+            return _reduced(a * f + c * d, b * f + e * d, d * f)
+        if isinstance(other, int):
+            # adding a multiple of d to a keeps gcd(a, b, d) = 1
+            return _make(self._a + other * self._d, self._b, self._d)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _reduced(self._a * q + p * self._d, self._b * q, self._d * q)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, GaussianRational):
-            if not (other.re or other.im):
+            c, e, f = other._a, other._b, other._d
+            if not (c or e):
                 return self
-            return GaussianRational._new(self.re - other.re, self.im - other.im)
-        if isinstance(other, _coercible):
-            return GaussianRational._new(self.re - other, self.im)
+            a, b, d = self._a, self._b, self._d
+            if not (a or b):
+                return _make(-c, -e, f)
+            if d == f:
+                if d == 1:
+                    return _make(a - c, b - e, 1)
+                return _reduced(a - c, b - e, d)
+            return _reduced(a * f - c * d, b * f - e * d, d * f)
+        if isinstance(other, (int, Fraction)):
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _coercible):
-            return GaussianRational._new(other - self.re, -self.im)
+        if isinstance(other, (int, Fraction)):
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            a, b = self.re, self.im
-            c, d = other.re, other.im
-            # zero components dominate in echelon workloads; skip dead Fraction ops
-            if not b:
-                if not d:
-                    return GaussianRational._new(a * c, b)
-                if not a:
-                    return GaussianRational._new(a, b)
-                return GaussianRational._new(a * c, a * d)
-            if not d:
+            a, b = self._a, self._b
+            c, e = other._a, other._b
+            # zero parts dominate in echelon workloads; skip dead products
+            if not e:
                 if not c:
-                    return GaussianRational._new(c, c)
-                return GaussianRational._new(a * c, b * c)
-            return GaussianRational._new(a * c - b * d, a * d + b * c)
-        if isinstance(other, _coercible):
-            return GaussianRational._new(self.re * other, self.im * other)
+                    return other
+                if not b:
+                    if not a:
+                        return self
+                    x, y = a * c, 0
+                else:
+                    x, y = a * c, b * c
+            elif not b:
+                if not a:
+                    return self
+                x, y = a * c, a * e
+            else:
+                x, y = a * c - b * e, a * e + b * c
+            den = self._d * other._d
+            if den == 1:
+                return _make(x, y, 1)
+            return _reduced(x, y, den)
+        if isinstance(other, int):
+            return _reduced(self._a * other, self._b * other, self._d)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _reduced(self._a * p, self._b * p, self._d * q)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _coercible):
-            return GaussianRational._new(self.re / other, self.im / other)
         if isinstance(other, GaussianRational):
-            c, d = other.re, other.im
-            nrm = c * c + d * d
-            if not nrm:
-                raise ZeroDivisionError("division by zero in Q(i)")
-            a, b = self.re, self.im
-            return GaussianRational._new((a * c + b * d) / nrm, (b * c - a * d) / nrm)
-        return NotImplemented
+            c, e, f = other._a, other._b, other._d
+            # (a + bi)/d ÷ (c + ei)/f = (a + bi)(c − ei)·f / (d·(c² + e²))
+            a, b = self._a, self._b
+            if not e:
+                x, y, den = a * f, b * f, c
+            else:
+                x, y, den = (a * c + b * e) * f, (b * c - a * e) * f, c * c + e * e
+        elif isinstance(other, int):
+            x, y, den = self._a, self._b, other
+        elif isinstance(other, Fraction):
+            x, y, den = self._a * other.denominator, self._b * other.denominator, other.numerator
+        else:
+            return NotImplemented
+        if not den:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        den *= self._d
+        if den < 0:
+            x, y, den = -x, -y, -den
+        return _reduced(x, y, den)
 
     def __rtruediv__(self, other):
-        if isinstance(other, _coercible):
+        if isinstance(other, (int, Fraction)):
             return GaussianRational.of(other) / self
         return NotImplemented
 
     def __neg__(self):
-        return GaussianRational._new(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational._new(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     # -- comparisons / hashing ----------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, _coercible):
-            return self.im == 0 and self.re == other
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
         # agrees with hash(Fraction)/hash(int) when the value is real
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     # -- display / serialization --------------------------------------------
 
@@ -145,11 +233,11 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
+        if not self._b:
             return rational_to_str(self.re)
-        if not self.re:
+        if not self._a:
             return f"{rational_to_str(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{rational_to_str(self.re)} {sign} {rational_to_str(abs(self.im))}*i"
 
     def to_json(self) -> dict:
@@ -158,8 +246,8 @@ class GaussianRational:
     @classmethod
     def from_json(cls, d) -> "GaussianRational":
         if isinstance(d, str):
-            return cls._new(rational_from_str(d), Fraction(0))
-        return cls._new(rational_from_str(d.get("re", "0")), rational_from_str(d.get("im", "0")))
+            return cls.of(rational_from_str(d))
+        return cls(rational_from_str(d.get("re", "0")), rational_from_str(d.get("im", "0")))
 
 
 ZERO = GaussianRational(0)

@@ -17,11 +17,14 @@ representatives, induced maps and solves, using only the elimination oracles
 above and nothing from transdolbeault.linalg or transdolbeault.cohomology.
 oracle_invariant, oracle_minimal_criterion and oracle_fibration state the
 homogeneous checks as their definitions, on basis vectors and basis triples.
+oracle_qi and oracle_triple do Q(i) arithmetic on (re, im) pairs of
+Fractions, with no GaussianRational operation.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, lcm
 
 from transdolbeault.lie import bracket
 from transdolbeault.scalars import GaussianRational, I, ZERO
@@ -716,3 +719,24 @@ def oracle_fibration(algebra, J, h_rows):
         "via_dim2_shortcut": dim_im_n == 2,
         "transverse_complex_structure": transverse,
     }
+
+
+def oracle_qi(op, x, y):
+    """x op y in Q(i) for op in "+-*/", on (re, im) pairs of Fractions."""
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    norm = c * c + d * d  # "/": x·conj(y)/|y|², which raises ZeroDivisionError at y = 0
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def oracle_triple(re, im):
+    """The canonical (a, b, d) of re + im·i: d the lcm of the two reduced
+    denominators, a = re·d and b = im·d."""
+    re, im = Fraction(re), Fraction(im)
+    d = lcm(re.denominator, im.denominator)
+    return int(re * d), int(im * d), d

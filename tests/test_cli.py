@@ -109,6 +109,28 @@ def test_homogeneous_json_golden():
         assert (status, out) == (0, dumps_canonical(doc) + "\n"), key
 
 
+def test_report_json_and_cohomology_text_golden():
+    """Exit status and sha256 of stdout and stderr of `report --format json` and of
+    text `cohomology` on every catalog entry (abelian2n n=1-3), unseeded and at
+    seeds 0-2. su2_mod_u1 has a stabilizer h, so both commands exit 1 there."""
+    import contextlib
+    import hashlib
+    import io
+    from pathlib import Path
+
+    golden = json.loads((Path(__file__).parent / "golden_report.json").read_text())
+    assert len(golden) == 36
+    for key, want in golden.items():
+        name, *opts = key.split()
+        argv = ["--catalog", name] + [a for o in opts for a in ("--" + o.split("=")[0], o.split("=")[1])]
+        for command, fmt in (("report", "json"), ("cohomology", "text")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main([command, "--format", fmt] + argv)
+            got = [status] + [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
+            assert got == want[command], (key, command)
+
+
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["classify", "--catalog", "kodaira_thurston"]) == 0
     assert main(["classify", "--catalog", "does_not_exist"]) == 3
